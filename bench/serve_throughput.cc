@@ -1,7 +1,7 @@
 /**
  * @file
- * Serving-layer throughput gate: cached artifact + pooled execution
- * contexts versus naive compile-per-request.
+ * Serving-layer gates: cached artifact + pooled execution contexts
+ * versus naive compile-per-request, and request-level scaling.
  *
  * Two modes over the same request batch (Table III fixtures, fixed
  * scale, W serving workers):
@@ -19,7 +19,15 @@
  *    DRAM output passes the app's golden verifier;
  *  - the artifact cache serves exactly requests-1 hits per fixture
  *    (one miss, then all hits);
- *  - aggregate cached throughput >= 5x naive throughput.
+ *  - aggregate cached throughput >= 5x naive throughput;
+ *  - request-level scaling: serveBatch at 4 workers is >= 2x faster
+ *    than at 1 worker on search and huff-enc (scale 16). Each request
+ *    runs single-threaded, so this is where the host's cores are used.
+ *    One untimed warm-up batch runs first: the first ~1 s of
+ *    multi-threaded load after idle can run 4 threads no faster than
+ *    one. Then the gate times interleaved 1-worker/4-worker pairs and
+ *    takes the median per-pair ratio. Skipped with a note when the
+ *    host has fewer than 4 hardware threads.
  *
  * Emits one JSON row per (fixture, mode) for the CI artifact.
  */
@@ -44,6 +52,9 @@ namespace
 constexpr int kScale = 16;
 constexpr int kRequests = 32;
 constexpr int kWorkers = 4;
+
+constexpr int kScalingRequests = 24;
+constexpr int kScalingPairs = 5;
 
 using Clock = std::chrono::steady_clock;
 
@@ -126,6 +137,18 @@ runNaive(const apps::App &app)
     return out;
 }
 
+/** Point every request's prepare hook at @p app's input generator at
+ * kScale; the hook stores main()'s arguments into its own request. */
+void
+generateInputs(std::vector<serve::Request> &requests, const apps::App &app)
+{
+    for (serve::Request &req : requests) {
+        req.prepare = [&app, &req](lang::DramImage &dram) {
+            req.args = app.generate(dram, kScale);
+        };
+    }
+}
+
 /** Serving path: per-request ArtifactCache lookup (one compile, then
  * hits), then the batch on pooled contexts through serveBatch. */
 ModeResult
@@ -143,12 +166,7 @@ runCached(const apps::App &app)
         artifact = ArtifactCache::global().get(app.source);
 
     std::vector<serve::Request> requests(kRequests);
-    for (int i = 0; i < kRequests; ++i) {
-        serve::Request &req = requests[i];
-        req.prepare = [&app, &req](lang::DramImage &dram) {
-            req.args = app.generate(dram, kScale);
-        };
-    }
+    generateInputs(requests, app);
     serve::ServeOptions opts;
     opts.workers = kWorkers;
     serve::BatchReport rep = serve::serveBatch(artifact, requests, opts);
@@ -176,6 +194,78 @@ runCached(const apps::App &app)
     if (rep.failed == 0 && !rep.results.empty() && rep.results[0].dram)
         out.verified = app.verify(*rep.results[0].dram, kScale).empty();
     return out;
+}
+
+/** Wall time of one serveBatch of kScalingRequests over @p artifact
+ * at @p workers; false in @p ok if any request failed. */
+double
+scalingBatchMs(const apps::App &app,
+               const std::shared_ptr<const CompiledArtifact> &artifact,
+               int workers, bool &ok)
+{
+    std::vector<serve::Request> requests(kScalingRequests);
+    generateInputs(requests, app);
+    serve::ServeOptions opts;
+    opts.workers = workers;
+    opts.keepDram = false;
+    serve::BatchReport rep = serve::serveBatch(artifact, requests, opts);
+    ok &= rep.failed == 0;
+    return rep.wallMs;
+}
+
+/** Request-level scaling gate: median 1-worker / 4-worker wall-time
+ * ratio over interleaved pairs must be >= 2x. */
+bool
+runScalingGate()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    std::printf("\nserve_throughput: request-level scaling, %d requests "
+                "per batch, 1 vs %d workers, scale %d, median of %d "
+                "interleaved pairs, host hardware threads: %u\n",
+                kScalingRequests, kWorkers, kScale, kScalingPairs, hw);
+    bool ok = true;
+    for (const char *name : {"search", "huff-enc"}) {
+        const apps::App &app = apps::findApp(name);
+        auto artifact = CompiledArtifact::build(app.source);
+        bool served = true;
+        scalingBatchMs(app, artifact, kWorkers, served); // warm-up
+        std::vector<double> ratios;
+        double one_ms = 0;
+        double four_ms = 0;
+        for (int pair = 0; pair < kScalingPairs; ++pair) {
+            const double t1 = scalingBatchMs(app, artifact, 1, served);
+            const double t4 =
+                scalingBatchMs(app, artifact, kWorkers, served);
+            one_ms += t1;
+            four_ms += t4;
+            ratios.push_back(t1 / t4);
+        }
+        const double speedup = percentile(ratios, 50.0);
+        std::printf("  %-10s 1 worker %7.1f ms  %d workers %7.1f ms  "
+                    "(mean per batch)  median speedup %.2fx\n",
+                    name, one_ms / kScalingPairs, kWorkers,
+                    four_ms / kScalingPairs, speedup);
+        std::printf("{\"bench\":\"serve_throughput\",\"fixture\":"
+                    "\"%s\",\"mode\":\"scaling\",\"requests\":%d,"
+                    "\"workers\":%d,\"scale\":%d,\"speedup\":%.2f}\n",
+                    name, kScalingRequests, kWorkers, kScale, speedup);
+        if (!served) {
+            std::printf("  FAIL(%s): a scaling-batch request failed\n",
+                        name);
+            ok = false;
+        }
+        if (hw < 4) {
+            std::printf("  SKIP(%s): the >= 2x gate needs >= 4 hardware "
+                        "threads (host has %u); measured informationally\n",
+                        name, hw);
+        } else if (speedup < 2.0) {
+            std::printf("  FAIL(%s): %d-worker speedup %.2fx below the "
+                        "2x request-scaling bar\n",
+                        name, kWorkers, speedup);
+            ok = false;
+        }
+    }
+    return ok;
 }
 
 void
@@ -261,5 +351,7 @@ main()
                     speedup);
         ok = false;
     }
+
+    ok &= runScalingGate();
     return ok ? 0 : 1;
 }

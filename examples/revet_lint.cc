@@ -124,22 +124,17 @@ printResult(const std::string &name, const LintResult &r, bool json,
             else
                 ++nwarn;
         }
-        // workers: the engine's effective Policy::parallel worker
-        // count on this host (REVET_NUM_THREADS or hardware
-        // concurrency), so CI artifacts record the concurrency the
-        // accompanying scheduler/bench rows ran at.
         std::printf("{\"program\":\"%s\",\"compiled\":%s,"
                     "\"validated_passes\":%d,\"errors\":%d,"
                     "\"warnings\":%d,\"rate_consistent\":%s,"
                     "\"cycles\":%zu,\"risky_cycles\":%d,"
-                    "\"parks\":%zu,\"workers\":%d}\n",
+                    "\"parks\":%zu}\n",
                     name.c_str(), r.compiled ? "true" : "false",
                     r.validatedPasses, nerr, nwarn,
                     r.report.rates.consistent ? "true" : "false",
                     r.report.deadlock.cycles.size(),
                     r.report.deadlock.riskyCycles,
-                    r.report.deadlock.parks.size(),
-                    dataflow::Engine::defaultNumThreads());
+                    r.report.deadlock.parks.size());
         return;
     }
 

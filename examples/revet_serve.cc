@@ -12,8 +12,10 @@
  *     -> ContextPool -> graph::ExecutionContext (reset-and-reused)
  *       -> per-request DramImage + ExecStats
  *
+ * Each request runs single-threaded on one serving worker;
+ * concurrency comes only from serving requests side by side.
+ *
  * Usage: example_revet_serve [app=murmur3] [requests=64] [workers=4]
- *                            [policy=worklist|roundRobin|parallel]
  */
 
 #include <cstdio>
@@ -32,19 +34,9 @@ main(int argc, char **argv)
     const std::string app_name = argc > 1 ? argv[1] : "murmur3";
     const int num_requests = argc > 2 ? std::atoi(argv[2]) : 64;
     const int workers = argc > 3 ? std::atoi(argv[3]) : 4;
-    const std::string policy_name = argc > 4 ? argv[4] : "worklist";
 
     serve::ServeOptions opts;
     opts.workers = workers;
-    if (policy_name == "roundRobin")
-        opts.policy = dataflow::Engine::Policy::roundRobin;
-    else if (policy_name == "parallel")
-        opts.policy = dataflow::Engine::Policy::parallel;
-    else if (policy_name != "worklist") {
-        std::fprintf(stderr, "unknown policy '%s'\n",
-                     policy_name.c_str());
-        return 2;
-    }
 
     const apps::App &app = apps::findApp(app_name);
 

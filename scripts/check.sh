@@ -161,32 +161,14 @@ if [[ "$sanitize" != OFF ]]; then
     "$build_dir/tests/revet_test_bytecode"
     # The serving layer recycles execution contexts across requests and
     # shares one immutable artifact between worker threads — lifetime
-    # and aliasing bugs there are exactly ASan territory (and the
-    # concurrent batteries are TSan territory below).
+    # and aliasing bugs there are exactly ASan territory. Under TSan
+    # the same suite covers every cross-thread path in the repo:
+    # serveBatch's worker threads, the context pool's acquire/release
+    # handoff, and the artifact cache's compile-under-lock dedup (each
+    # request's engine is single-threaded).
     echo "== serving layer suite (sanitized)"
     "$build_dir/tests/revet_test_serve"
     if [[ "$sanitize" == thread ]]; then
-        # The parallel work-stealing scheduler is the reason the TSan
-        # preset exists: re-run the scheduler suite (tri-policy matrix +
-        # ParallelScheduler section) and the fuzz differential with the
-        # parallel policy forced onto several workers so every Channel
-        # push/pop, steal, and quiescence handshake runs instrumented
-        # even on single-core hosts.
-        echo "== parallel scheduler suite (TSan, 4 workers)"
-        REVET_NUM_THREADS=4 "$build_dir/tests/revet_test_dataflow" \
-            --gtest_filter='*Scheduler*:*Backpressure*:*Parallel*'
-        # The bytecode executor's parallel-policy leg with the workers
-        # forced up, so its park reclamation and dispatch loop run
-        # under TSan with real cross-thread channel traffic.
-        echo "== bytecode/step executor differential (TSan, 4 workers)"
-        REVET_NUM_THREADS=4 "$build_dir/tests/revet_test_bytecode"
-        # Serving batteries under TSan: serveBatch's worker threads,
-        # the context pool's acquire/release handoff, and the artifact
-        # cache's compile-under-lock dedup all run with the engine's
-        # parallel policy forced onto 4 workers, so artifact sharing is
-        # exercised with real cross-thread traffic.
-        echo "== serving layer suite (TSan, 4 workers)"
-        REVET_NUM_THREADS=4 "$build_dir/tests/revet_test_serve"
         echo "== check.sh: all green (TSan)"
     else
         echo "== check.sh: all green (ASan+UBSan)"

@@ -144,17 +144,14 @@ graph::ExecStats
 CompiledArtifact::executeWith(graph::ExecutorKind executor,
                               lang::DramImage &dram,
                               const std::vector<int32_t> &args,
-                              dataflow::Engine::Policy policy,
-                              int num_threads) const
+                              dataflow::Engine::Policy policy) const
 {
     if (executor == graph::ExecutorKind::bytecode) {
         return graph::execute(bytecode_, dram, args,
-                              dataflow::Engine::defaultMaxRounds, policy,
-                              num_threads);
+                              dataflow::Engine::defaultMaxRounds, policy);
     }
     return graph::execute(dfg_, dram, args,
-                          dataflow::Engine::defaultMaxRounds, policy,
-                          num_threads);
+                          dataflow::Engine::defaultMaxRounds, policy);
 }
 
 ArtifactCache &

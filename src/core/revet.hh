@@ -180,8 +180,7 @@ class CompiledArtifact
                                  lang::DramImage &dram,
                                  const std::vector<int32_t> &args,
                                  dataflow::Engine::Policy policy =
-                                     dataflow::Engine::Policy::worklist,
-                                 int num_threads = 0) const;
+                                     dataflow::Engine::Policy::worklist) const;
 
   private:
     CompiledArtifact() = default;
@@ -320,17 +319,14 @@ class CompiledProgram
      * executor selected by CompileOptions::executor. The executor and
      * the scheduling policy are observable only through stats/perf
      * counters, never through results (see dataflow/engine.hh and
-     * graph/bytecode.hh). @p num_threads selects the worker count for
-     * Policy::parallel (0 defers to Engine::defaultNumThreads();
-     * ignored by serial policies). */
+     * graph/bytecode.hh). */
     graph::ExecStats
     execute(lang::DramImage &dram, const std::vector<int32_t> &args,
             dataflow::Engine::Policy policy =
-                dataflow::Engine::Policy::worklist,
-            int num_threads = 0) const
+                dataflow::Engine::Policy::worklist) const
     {
         return artifact_->executeWith(options().executor, dram, args,
-                                      policy, num_threads);
+                                      policy);
     }
 
     /** execute() with an explicit executor, overriding the compile
@@ -339,11 +335,9 @@ class CompiledProgram
     executeWith(graph::ExecutorKind executor, lang::DramImage &dram,
                 const std::vector<int32_t> &args,
                 dataflow::Engine::Policy policy =
-                    dataflow::Engine::Policy::worklist,
-                int num_threads = 0) const
+                    dataflow::Engine::Policy::worklist) const
     {
-        return artifact_->executeWith(executor, dram, args, policy,
-                                      num_threads);
+        return artifact_->executeWith(executor, dram, args, policy);
     }
 
   private:

@@ -122,9 +122,10 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
                 if (opts.reuseContexts) {
                     auto ctx = pool.acquire(&res.contextReused);
                     try {
-                        res.stats =
-                            ctx->run(dram, req.args, opts.policy,
-                                     opts.engineThreads, opts.maxRounds);
+                        res.stats = ctx->run(
+                            dram, req.args,
+                            dataflow::Engine::Policy::worklist,
+                            opts.maxRounds);
                     } catch (...) {
                         pool.release(std::move(ctx)); // discards: poisoned
                         throw;
@@ -133,8 +134,9 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
                 } else {
                     auto ctx = artifact->makeContext();
                     res.stats =
-                        ctx->run(dram, req.args, opts.policy,
-                                 opts.engineThreads, opts.maxRounds);
+                        ctx->run(dram, req.args,
+                                 dataflow::Engine::Policy::worklist,
+                                 opts.maxRounds);
                 }
                 if (opts.keepDram)
                     res.dram.emplace(std::move(dram));

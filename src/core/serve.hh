@@ -12,9 +12,12 @@
  * percentiles, so bench/serve_throughput.cc can hold the serving path
  * to its ≥5x win over naive compile-per-request.
  *
+ * Each request runs on one serving worker thread under the worklist
+ * policy; concurrency exists only across requests, never inside one.
+ *
  * Correctness contract: serving is bit-identical to the one-shot path.
  * Every request's final DRAM image, link token counts, and link
- * barrier counts match a serial CompiledProgram::execute of the same
+ * barrier counts match a CompiledProgram::execute of the same
  * (source, args) under any scheduling policy and any worker count —
  * Kahn-network determinism end to end. tests/core/test_serve.cc
  * enforces this against the step-object oracle.
@@ -89,11 +92,6 @@ struct ServeOptions
 {
     /** Serving worker threads (clamped to [1, batch size]). */
     int workers = 4;
-    /** Engine scheduling policy for every request. */
-    dataflow::Engine::Policy policy = dataflow::Engine::Policy::worklist;
-    /** Engine worker threads per request (Policy::parallel only; 0
-     * defers to Engine::defaultNumThreads()). */
-    int engineThreads = 0;
     /** Recycle contexts through a ContextPool. Off: every request
      * builds and tears down its own context (the ablation the
      * throughput bench compares against). */

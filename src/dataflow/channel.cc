@@ -1,6 +1,5 @@
 #include "dataflow/channel.hh"
 
-#include <mutex>
 #include <stdexcept>
 
 #include "dataflow/engine.hh"
@@ -13,48 +12,30 @@ namespace dataflow
 void
 Channel::push(const Token &tok)
 {
-    bool was_empty = false;
-    {
-        // Serial runs skip the lock and demote the size mirror to a
-        // relaxed store (a plain move): with both endpoints on one
-        // thread, the seq_cst fence per push was the single hottest
-        // instruction in the whole engine. Parallel runs keep the full
-        // protocol — the seq_cst mirror is what the missed-wakeup
-        // proof relies on.
-        std::unique_lock<SpinLock> guard(mu_, std::defer_lock);
-        if (concurrent_)
-            guard.lock();
-        if (fifo_.size() >= capacity_) {
-            throw std::runtime_error(
-                "channel '" + (name_.empty() ? std::string("?") : name_) +
-                "' overflow: push on a full bounded channel (capacity " +
-                std::to_string(capacity_) + ") — missing canPush() guard");
-        }
-        was_empty = fifo_.empty();
-        fifo_.push_back(tok);
-        ++total_pushed_;
-        if (tok.isBarrier()) {
-            ++watch_.barriersPushed;
-        } else {
-            const Word w = tok.word();
-            const int32_t s = tok.asInt();
-            if (watch_.dataPushed == 0)
-                watch_.first = w;
-            else
-                watch_.allEqual &= w == watch_.first;
-            watch_.smin = s < watch_.smin ? s : watch_.smin;
-            watch_.smax = s > watch_.smax ? s : watch_.smax;
-            watch_.umin = w < watch_.umin ? w : watch_.umin;
-            watch_.umax = w > watch_.umax ? w : watch_.umax;
-            ++watch_.dataPushed;
-        }
-        size_.store(fifo_.size(), concurrent_
-                                      ? std::memory_order_seq_cst
-                                      : std::memory_order_relaxed);
+    if (fifo_.size() >= capacity_) {
+        throw std::runtime_error(
+            "channel '" + (name_.empty() ? std::string("?") : name_) +
+            "' overflow: push on a full bounded channel (capacity " +
+            std::to_string(capacity_) + ") — missing canPush() guard");
     }
-    // Notify outside the lock: the wakeup path may run the consumer's
-    // scheduler bookkeeping, and holding a channel lock across it would
-    // order channel locks against deque locks.
+    const bool was_empty = fifo_.empty();
+    fifo_.push_back(tok);
+    ++total_pushed_;
+    if (tok.isBarrier()) {
+        ++watch_.barriersPushed;
+    } else {
+        const Word w = tok.word();
+        const int32_t s = tok.asInt();
+        if (watch_.dataPushed == 0)
+            watch_.first = w;
+        else
+            watch_.allEqual &= w == watch_.first;
+        watch_.smin = s < watch_.smin ? s : watch_.smin;
+        watch_.smax = s > watch_.smax ? s : watch_.smax;
+        watch_.umin = w < watch_.umin ? w : watch_.umin;
+        watch_.umax = w > watch_.umax ? w : watch_.umax;
+        ++watch_.dataPushed;
+    }
     if (engine_ && was_empty)
         engine_->onTokenAvailable(this);
 }
@@ -62,48 +43,24 @@ Channel::push(const Token &tok)
 Token
 Channel::pop()
 {
-    bool was_full = false;
-    Token tok = Token::data(0);
-    {
-        std::unique_lock<SpinLock> guard(mu_, std::defer_lock);
-        if (concurrent_)
-            guard.lock();
-        if (fifo_.empty()) {
-            throw std::runtime_error(
-                "channel '" + (name_.empty() ? std::string("?") : name_) +
-                "' underflow: pop on an empty channel");
-        }
-        was_full = fifo_.size() == capacity_;
-        tok = fifo_.front();
-        fifo_.pop_front();
-        size_.store(fifo_.size(), concurrent_
-                                      ? std::memory_order_seq_cst
-                                      : std::memory_order_relaxed);
+    if (fifo_.empty()) {
+        throw std::runtime_error(
+            "channel '" + (name_.empty() ? std::string("?") : name_) +
+            "' underflow: pop on an empty channel");
     }
+    const bool was_full = fifo_.size() == capacity_;
+    Token tok = fifo_.front();
+    fifo_.pop_front();
     if (engine_ && was_full)
         engine_->onSpaceAvailable(this);
     return tok;
 }
 
-const Token &
-Channel::front() const
-{
-    if (!concurrent_)
-        return fifo_.front();
-    std::lock_guard<SpinLock> guard(mu_);
-    // Safe to hand out: deque references survive producer push_backs,
-    // and only the calling consumer ever erases (see the file comment
-    // in channel.hh).
-    return fifo_.front();
-}
-
 TokenStream
 Channel::drain()
 {
-    std::lock_guard<SpinLock> guard(mu_);
     TokenStream out(fifo_.begin(), fifo_.end());
     fifo_.clear();
-    size_.store(0, std::memory_order_seq_cst);
     return out;
 }
 

@@ -17,23 +17,10 @@
  * emptiness, and free capacity, so these two edges are exactly the
  * events that can turn a blocked process runnable.
  *
- * Concurrency contract (Engine::Policy::parallel): every channel has at
- * most one producer and one consumer process, and the engine never runs
- * the same process on two workers at once, so each end of a channel is
- * single-threaded. The FIFO itself is guarded by a per-channel spinlock
- * (critical sections are a handful of pointer moves; a ring buffer was
- * rejected because the functional semantics need unbounded channels),
- * and the element count is mirrored in a seq_cst atomic so the
- * lock-free predicates empty()/size()/canPush() are exact snapshots.
- * The predicates are *monotone-safe* per endpoint: only the consumer
- * pops, so a non-empty observation by the consumer stays true until it
- * acts on it; only the producer pushes, so free capacity observed by
- * the producer cannot shrink. front() takes the lock for the access but
- * may safely return a reference: std::deque never invalidates element
- * references on push_back, and only the (calling) consumer erases.
- * Mutating configuration (setCapacity, bindEngine, setProducer/
- * setConsumer) and the read-back accessors (totalPushed, watch, drain)
- * are setup/post-run-only: they must not race with an active run.
+ * A Channel is not synchronised: both endpoints run on the thread that
+ * drives its Engine (see the file comment in engine.hh). The FIFO is a
+ * std::deque rather than a ring buffer because the functional semantics
+ * need unbounded channels.
  *
  * A Bundle is a set of channels that move one thread's live values
  * together: primitives that reorder threads (merges, filters) operate on
@@ -43,12 +30,10 @@
 #ifndef REVET_DATAFLOW_CHANNEL_HH
 #define REVET_DATAFLOW_CHANNEL_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sltf/token.hh"
@@ -65,36 +50,6 @@ using sltf::Word;
 class Engine;
 class Process;
 
-/**
- * Minimal test-and-set spinlock (BasicLockable, usable with
- * std::lock_guard). Chosen over std::mutex for the per-channel and
- * per-deque hot paths: critical sections are a few pointer moves, the
- * uncontended cost is one acquire CAS, and acquire/release on the flag
- * gives ThreadSanitizer an exact happens-before edge to verify. Spins
- * yield after a short burst so a preempted holder on an oversubscribed
- * host cannot starve the waiter.
- */
-class SpinLock
-{
-  public:
-    void
-    lock()
-    {
-        int spins = 0;
-        while (flag_.test_and_set(std::memory_order_acquire)) {
-            if (++spins >= 64) {
-                spins = 0;
-                std::this_thread::yield();
-            }
-        }
-    }
-
-    void unlock() { flag_.clear(std::memory_order_release); }
-
-  private:
-    std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
-};
-
 /** One on-chip link: a FIFO of SLTF tokens with optional capacity. */
 class Channel
 {
@@ -108,23 +63,12 @@ class Channel
 
     const std::string &name() const { return name_; }
 
-    // The atomic mirror of fifo_.size() makes these predicates exact,
-    // lock-free snapshots; see the file comment for why each endpoint
-    // may act on them without holding the lock. seq_cst (not acquire)
-    // so they participate in the scheduler's single total order with
-    // the per-process notification latch — the property that makes a
-    // missed parallel wakeup impossible rather than merely unlikely.
-    bool empty() const { return size_.load(std::memory_order_seq_cst) == 0; }
-    size_t size() const { return size_.load(std::memory_order_seq_cst); }
+    bool empty() const { return fifo_.empty(); }
+    size_t size() const { return fifo_.size(); }
     size_t capacity() const { return capacity_; }
-    /** Setup-only: must not race with an active run. */
     void setCapacity(size_t capacity) { capacity_ = capacity; }
 
-    bool
-    canPush() const
-    {
-        return size_.load(std::memory_order_seq_cst) < capacity_;
-    }
+    bool canPush() const { return fifo_.size() < capacity_; }
 
     /**
      * Append @p tok. @throws std::runtime_error when the channel is
@@ -140,10 +84,8 @@ class Channel
             push(tok);
     }
 
-    /** Head token; consumer-side only (the reference stays valid while
-     * the producer appends — deque references are push-stable — and
-     * only the caller pops). Undefined on an empty channel, as before. */
-    const Token &front() const;
+    /** Head token. Undefined on an empty channel. */
+    const Token &front() const { return fifo_.front(); }
 
     /**
      * Remove and return the head token.
@@ -151,15 +93,13 @@ class Channel
      */
     Token pop();
 
-    /** Lifetime token count, for stats and link-bandwidth analysis.
-     * Read-back is post-run-only. */
+    /** Lifetime token count, for stats and link-bandwidth analysis. */
     uint64_t totalPushed() const { return total_pushed_; }
 
     /** Observed data-word summary over the channel's lifetime: the
      * concrete-execution side of the abstract-interpretation soundness
      * oracle (graph/absint.hh). Extremes are meaningless until the
-     * first data token (dataPushed() == 0). Read-back is
-     * post-run-only. */
+     * first data token (dataPushed() == 0). */
     struct ValueWatch
     {
         uint64_t dataPushed = 0;
@@ -180,13 +120,11 @@ class Channel
     /** Return the channel to its just-constructed state — FIFO, the
      * lifetime token count, and the value watch all cleared — so an
      * execution context can serve a fresh request over the same wiring
-     * (graph::ExecutionContext). Setup-only, like setCapacity: must
-     * not race with an active run. */
+     * (graph::ExecutionContext). */
     void
     resetForReuse()
     {
         fifo_.clear();
-        size_.store(0, std::memory_order_relaxed);
         total_pushed_ = 0;
         watch_ = ValueWatch{};
     }
@@ -201,21 +139,10 @@ class Channel
     void setProducer(Process *p) { producer_ = p; }
     void setConsumer(Process *p) { consumer_ = p; }
 
-    /** Engine-internal: toggled at Policy::parallel run boundaries
-     * (before worker spawn / after join, so the flag itself is ordered
-     * by thread creation and join). While false — the default, and the
-     * state during every single-threaded run — push/pop/front skip the
-     * spinlock and the seq_cst size mirror, which are pure overhead
-     * when both channel endpoints live on one thread. */
-    void setConcurrent(bool on) { concurrent_ = on; }
-
   private:
     std::string name_;
     size_t capacity_;
-    bool concurrent_ = false; ///< see setConcurrent()
-    mutable SpinLock mu_;     ///< guards fifo_, total_pushed_, watch_
     std::deque<Token> fifo_;
-    std::atomic<size_t> size_{0}; ///< mirrors fifo_.size()
     uint64_t total_pushed_ = 0;
     ValueWatch watch_;
     Engine *engine_ = nullptr;

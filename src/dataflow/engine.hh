@@ -7,7 +7,7 @@
  * channels this computes the denotational (Kahn-network) semantics of
  * the graph; the result is independent of scheduling order because
  * every primitive is a deterministic stream transformer. That freedom
- * is what allows three interchangeable scheduling policies:
+ * is what allows two interchangeable scheduling policies:
  *
  *  - Policy::roundRobin — the original model: every round scans every
  *    primitive, stopping at the first full no-progress pass. Simple,
@@ -24,29 +24,21 @@
  *    therefore cost time (counted in SchedStats::missedWakeups, asserted
  *    zero in tests) but never change the computed fixed point.
  *
- *  - Policy::parallel — the worklist sharded across N worker threads
- *    with per-worker run deques and Chase-Lev-style work stealing
- *    (owners run LIFO from the back, thieves take FIFO from the front).
- *    The global in-queue bitmap becomes a per-process atomic state
- *    machine (idle/queued/running) plus a notification latch, and the
- *    single-threaded verification rescan becomes a distributed
- *    quiescence protocol: an atomic active-work counter plus an idle
- *    census elect a leader that re-certifies quiescence with the same
- *    serial rescan, exactly once all workers are provably out of work.
- *    See runParallel() in engine.cc for the protocol and its proof
- *    obligations, and README.md ("Parallel execution") for the
- *    memory-ordering contract.
- *
- * All policies produce bit-identical channel traffic and DRAM effects;
+ * Both policies produce bit-identical channel traffic and DRAM effects;
  * tests/dataflow/test_scheduler.cc certifies this against the AST
  * interpreter on every app fixture (translation validation in the
  * WaveCert spirit).
+ *
+ * An Engine is single-threaded: one run() executes every process on the
+ * calling thread, and nothing in the engine, its channels or its
+ * processes is synchronised. Concurrency lives one level up, across
+ * requests: serve::serveBatch runs independent execution contexts, each
+ * owning its own engine, on separate worker threads.
  */
 
 #ifndef REVET_DATAFLOW_ENGINE_HH
 #define REVET_DATAFLOW_ENGINE_HH
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <string>
@@ -60,14 +52,11 @@ namespace revet
 namespace dataflow
 {
 
-/** Observability counters for one Engine::run invocation. Under
- * Policy::parallel each worker keeps a private copy and the engine sums
- * them after the join, so no counter is ever contended. */
+/** Observability counters for one Engine::run invocation. */
 struct SchedStats
 {
-    /** Scheduler rounds: full passes (roundRobin), ready-deque
-     * generations (worklist), or progress-runs normalized by process
-     * count (parallel) that moved at least one token. */
+    /** Scheduler rounds: full passes (roundRobin) or ready-deque
+     * generations (worklist) that moved at least one token. */
     uint64_t rounds = 0;
     /** Process step() invocations. */
     uint64_t steps = 0;
@@ -80,27 +69,20 @@ struct SchedStats
     uint64_t wakeups = 0;
     /** Full verification rescans used to certify quiescence. */
     uint64_t verifyPasses = 0;
-    /** Verification rescans that found progress. For the single-thread
-     * worklist this is a notification gap, always 0 unless a channel
-     * bypasses the engine's wiring. Under Policy::parallel a benign
-     * race (notification landing while its target was mid-run) can
-     * produce one; the rescan certifies the fixed point either way. */
+    /** Verification rescans that found progress: a notification gap,
+     * always 0 unless a channel bypasses the engine's wiring. The
+     * rescan certifies the fixed point either way. */
     uint64_t missedWakeups = 0;
     /** step() calls the round-robin model would have made for the same
      * number of rounds minus the calls actually made (worklist only). */
     uint64_t stepsSkipped = 0;
-    /** Processes taken from another worker's deque (parallel only). */
-    uint64_t steals = 0;
-    /** Worker threads the run actually used (1 for the single-threaded
-     * policies, and for parallel runs too small to shard). */
-    uint64_t workers = 1;
 };
 
 class Engine
 {
   public:
     /** Scheduling policy for run(); see the file comment. */
-    enum class Policy { roundRobin, worklist, parallel };
+    enum class Policy { roundRobin, worklist };
 
     /** Default safety cap on working rounds, shared by every caller
      * (graph::execute, CompiledProgram::execute) so all entry points
@@ -119,23 +101,6 @@ class Engine
 
     /** Work quanta a primitive may run per scheduling decision. */
     void setBurst(int burst) { burst_ = burst < 1 ? 1 : burst; }
-
-    /** Worker threads for Policy::parallel. 0 (the default) defers to
-     * defaultNumThreads(); values are clamped to at least 1. Ignored by
-     * the single-threaded policies. */
-    void setNumThreads(int n) { num_threads_ = n; }
-
-    /** Resolved worker count a parallel run would use now. */
-    int numThreads() const;
-
-    /** Process-wide default for parallel runs: the REVET_NUM_THREADS
-     * environment variable when it parses *strictly* as one decimal
-     * integer in [1, 1023], otherwise
-     * std::thread::hardware_concurrency() (at least 1). A set-but-
-     * invalid value (trailing junk, non-numeric, 0, negative, out of
-     * range) is rejected with a one-line stderr warning rather than
-     * silently absorbed. */
-    static int defaultNumThreads();
 
     /** Create a channel owned by this engine. */
     Channel *
@@ -180,11 +145,6 @@ class Engine
      * or buffered internal state — with a one-line reason, so internal
      * blockage (e.g. a merge waiting on a bundle peer) is visible even
      * when every channel is empty.
-     *
-     * Safe after a parallel run (workers are joined and their state
-     * aggregated before run() returns). If called *during* one — from a
-     * signal handler or watchdog thread — it reports only that workers
-     * are still active rather than racing them over process state.
      */
     std::string stallReport() const;
 
@@ -201,10 +161,6 @@ class Engine
     void
     onTokenAvailable(Channel *ch)
     {
-        if (par_.load(std::memory_order_relaxed) != nullptr) {
-            parallelNotify(ch->consumer());
-            return;
-        }
         if (enqueue(ch->consumer()))
             ++sched_.wakeups;
     }
@@ -213,17 +169,11 @@ class Engine
     void
     onSpaceAvailable(Channel *ch)
     {
-        if (par_.load(std::memory_order_relaxed) != nullptr) {
-            parallelNotify(ch->producer());
-            return;
-        }
         if (enqueue(ch->producer()))
             ++sched_.wakeups;
     }
 
   private:
-    struct Par; // one parallel run's scheduler state (engine.cc)
-
     void registerProcess(Process *proc);
     /** Put @p proc on the ready deque unless it is already queued (or
      * no worklist run is active). Returns true if it was inserted;
@@ -231,14 +181,10 @@ class Engine
     bool enqueue(Process *proc);
     uint64_t runRoundRobin(uint64_t max_rounds);
     uint64_t runWorklist(uint64_t max_rounds);
-    uint64_t runParallel(uint64_t max_rounds);
-    /** Parallel-mode readiness notification for @p proc. */
-    void parallelNotify(Process *proc);
     [[noreturn]] void throwLivelock(uint64_t max_rounds) const;
 
     Policy policy_;
     int burst_ = 4096;
-    int num_threads_ = 0;
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<Process>> procs_;
 
@@ -246,10 +192,6 @@ class Engine
     std::deque<Process *> ready_;
     std::vector<bool> in_queue_;
     bool scheduling_ = false;
-    // Parallel scheduler state (non-null while runParallel is active);
-    // atomic so stallReport and the channel notification hooks can
-    // observe mode changes without racing the run setup/teardown.
-    std::atomic<Par *> par_{nullptr};
     SchedStats sched_;
 };
 

@@ -349,13 +349,7 @@ Filter::stepOnce()
 bool
 ForwardMerge::stepOnce()
 {
-    // Snapshot each side's head exactly once (-1 = no token yet).
-    // Under Policy::parallel a producer can push mid-step, so a head
-    // observed absent must stay absent for the rest of this decision:
-    // re-reading it could see freshly arrived data where the barrier
-    // fall-through expects a barrier and throw a spurious mismatch.
-    // The late token is next step's work — its push notification
-    // re-queues this process.
+    // Classify each side's head once (-1 = no token yet).
     const int ka = allHaveToken(a_) ? bundleHeadKind(a_) : -1;
     const int kb = allHaveToken(b_) ? bundleHeadKind(b_) : -1;
     if (ka == 0 || kb == 0) {
@@ -383,12 +377,9 @@ ForwardMerge::stepOnce()
 bool
 FwdBackMerge::stepOnce()
 {
-    // Snapshot the backedge head exactly once for the whole step
-    // (-1 = no token yet): a recirculating token can arrive mid-step
-    // under Policy::parallel, and the echo check, the flow-mode sanity
-    // check, and the drain below all branch on this one observation
-    // (see the negative-observation corollary in primitives.hh). An
-    // echo that arrives after the snapshot is next step's work.
+    // Classify the backedge head once (-1 = no token yet); the echo
+    // check, the flow-mode sanity check and the drain below all branch
+    // on it.
     const int bk = allHaveToken(back_) ? bundleHeadKind(back_) : -1;
 
     // The released flush's barrier recirculates through the body as an

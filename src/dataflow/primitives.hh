@@ -20,25 +20,11 @@
  * class uses it for generic stall diagnostics: a blocked primitive can
  * say which inputs it is starved on and which outputs are full.
  *
- * Concurrency contract (Engine::Policy::parallel): the engine never
- * runs one Process on two workers at once, so primitive internal state
- * needs no synchronization. A primitive's channels may be operated on
- * by its peer endpoint concurrently, but every guard a primitive uses
- * is stable in the direction it matters — !empty() observed by the
- * consumer can only stay true (the producer only adds), canPush()
- * observed by the producer can only stay true (the consumer only
- * frees) — so a passing guard never invalidates before the guarded
- * pop/push. The converse races (a guard failing just as the peer makes
- * it passable) are exactly the readiness notifications the scheduler
- * delivers. See channel.hh for the full memory-ordering contract.
- *
- * Corollary: a *negative* observation (head absent) is NOT stable — a
- * producer may push mid-step. A stepOnce() that branches on "no token
- * there" must snapshot each head at most once and act only on the
- * snapshot; re-reading can see a different world than the branch was
- * chosen on (ForwardMerge's barrier fall-through is the canonical
- * case). A token that arrives mid-step is next step's work — its push
- * notification re-queues the process.
+ * The Engine runs every primitive of a graph on one thread, so neither
+ * primitive state nor channel access needs synchronisation: within one
+ * stepOnce() a channel changes only through the primitive's own pushes
+ * and pops. A token that arrives after a primitive blocked is next
+ * step's work: its push notification re-queues the consumer.
  */
 
 #ifndef REVET_DATAFLOW_PRIMITIVES_HH
@@ -129,8 +115,7 @@ class Process
     std::string name_;
     std::vector<Channel *> io_ins_;
     std::vector<Channel *> io_outs_;
-    /** Index into the owning engine's scheduler tables (the worklist
-     * bitmap, or the parallel per-process state/latch arrays). */
+    /** Index into the owning engine's worklist in-queue bitmap. */
     size_t sched_id_ = static_cast<size_t>(-1);
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -155,11 +154,10 @@ namespace
  *
  * The interpreter is a single stepOnce() switch over the opcode; each
  * case mirrors the corresponding streaming primitive in
- * dataflow/primitives.cc token for token — including the
- * snapshot-once discipline the negative-observation corollary demands
- * of the merges — so link traffic is bit-identical between executors
- * under every scheduling policy. What the bytecode path eliminates is
- * the per-firing dispatch tax of the step objects: channel bundles
+ * dataflow/primitives.cc token for token, so link traffic is
+ * bit-identical between executors under every scheduling policy. What
+ * the bytecode path eliminates is the per-firing dispatch tax of the
+ * step objects: channel bundles
  * and the block register file are resolved/allocated once at bind
  * time and reused, and a block firing is a straight loop over the
  * program's flat BlockOp table (no std::function hop, no per-firing
@@ -723,7 +721,6 @@ class BytecodeProc final : public dataflow::Process
             return false;
         Token tok = in->pop();
         if (tok.isData()) {
-            std::lock_guard<std::mutex> guard(mem_->mu);
             ++mem_->stats->sramAccesses;
             ++mem_->stats->sramParkedElems;
             mem_->parkSlot();
@@ -742,7 +739,6 @@ class BytecodeProc final : public dataflow::Process
             return false;
         Token tok = in->pop();
         if (tok.isData()) {
-            std::lock_guard<std::mutex> guard(mem_->mu);
             ++mem_->stats->sramAccesses;
             mem_->releaseSlot();
         }
@@ -769,7 +765,6 @@ class BytecodeProc final : public dataflow::Process
             if (value_batches_ < key_batches_) {
                 // Dead on arrival: the value's batch already closed on
                 // the key side, so no key can ever look it up.
-                std::lock_guard<std::mutex> guard(mem_->mu);
                 mem_->releaseSlot();
             } else {
                 buffered_[next_ordinal_] = {tok.word(), value_batches_};
@@ -790,11 +785,8 @@ class BytecodeProc final : public dataflow::Process
         if (it == buffered_.end())
             return false; // the key ran ahead of its parked value
         key->pop();
-        {
-            std::lock_guard<std::mutex> guard(mem_->mu);
-            ++mem_->stats->sramAccesses;
-            mem_->releaseSlot();
-        }
+        ++mem_->stats->sramAccesses;
+        mem_->releaseSlot();
         out->push(Token::data(it->second.value));
         buffered_.erase(it);
         return true;
@@ -814,7 +806,6 @@ class BytecodeProc final : public dataflow::Process
         }
         if (freed == 0)
             return;
-        std::lock_guard<std::mutex> guard(mem_->mu);
         for (size_t i = 0; i < freed; ++i)
             mem_->releaseSlot();
     }
@@ -950,7 +941,7 @@ ExecutionContext::poisoned() const
 ExecStats
 ExecutionContext::run(lang::DramImage &dram,
                       const std::vector<int32_t> &args,
-                      dataflow::Engine::Policy policy, int num_threads,
+                      dataflow::Engine::Policy policy,
                       uint64_t max_rounds)
 {
     Impl &im = *impl_;
@@ -977,7 +968,6 @@ ExecutionContext::run(lang::DramImage &dram,
     }
 
     im.engine.setPolicy(policy);
-    im.engine.setNumThreads(num_threads);
     // Pessimistic: cleared only when the run reaches quiescence. A
     // throw below (livelock, machine-model violation) leaves channel
     // and memory state mid-request; the reset above makes the *next*
@@ -994,7 +984,7 @@ ExecutionContext::run(lang::DramImage &dram,
 ExecStats
 execute(const BytecodeProgram &prog, lang::DramImage &dram,
         const std::vector<int32_t> &args, uint64_t max_rounds,
-        dataflow::Engine::Policy policy, int num_threads)
+        dataflow::Engine::Policy policy)
 {
     // One-shot path: a throwaway context with arena hoisting off (there
     // is no second request to reuse it). Keeps a single implementation
@@ -1002,7 +992,7 @@ execute(const BytecodeProgram &prog, lang::DramImage &dram,
     ContextOptions opts;
     opts.hoistAllocators = false;
     ExecutionContext ctx(prog, opts);
-    return ctx.run(dram, args, policy, num_threads, max_rounds);
+    return ctx.run(dram, args, policy, max_rounds);
 }
 
 } // namespace graph

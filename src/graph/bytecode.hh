@@ -14,8 +14,8 @@
  * through graph::evalPureOp / detail::evalOp. The interpreter
  * (bytecode.cc) instantiates each instruction as one dataflow::Process
  * whose stepOnce() is a single switch over the opcode, so the program
- * plugs into the existing dataflow::Engine unchanged — all three
- * scheduling policies (roundRobin / worklist / parallel) run bytecode
+ * plugs into the existing dataflow::Engine unchanged — both
+ * scheduling policies (roundRobin / worklist) run bytecode
  * exactly as they run step objects, and the step-object executor
  * remains the differential oracle: both executors must produce
  * bit-identical DRAM images and per-link token/barrier counts.
@@ -177,10 +177,10 @@ class ExecutionContext
     /**
      * Serve one request: reset all per-run state, bind @p dram /
      * @p args, and run the program to quiescence. Identical results
-     * contract to graph::execute — the policy, thread count, and
-     * whether the context is fresh or reused are observable only
-     * through stats. @throws std::runtime_error on machine-model
-     * violations, livelock, or missing arguments (the context remains
+     * contract to graph::execute — the policy and whether the context
+     * is fresh or reused are observable only through stats.
+     * @throws std::runtime_error on machine-model violations,
+     * livelock, or missing arguments (the context remains
      * reusable: the next run() starts from a full reset, but
      * poisoned() reports the failure so pools can discard).
      */
@@ -188,7 +188,6 @@ class ExecutionContext
                   const std::vector<int32_t> &args,
                   dataflow::Engine::Policy policy =
                       dataflow::Engine::Policy::worklist,
-                  int num_threads = 0,
                   uint64_t max_rounds =
                       dataflow::Engine::defaultMaxRounds);
 
@@ -219,8 +218,7 @@ ExecStats execute(const BytecodeProgram &prog, lang::DramImage &dram,
                   const std::vector<int32_t> &args,
                   uint64_t max_rounds = dataflow::Engine::defaultMaxRounds,
                   dataflow::Engine::Policy policy =
-                      dataflow::Engine::Policy::worklist,
-                  int num_threads = 0);
+                      dataflow::Engine::Policy::worklist);
 
 } // namespace graph
 } // namespace revet

@@ -1,7 +1,6 @@
 #include "graph/exec.hh"
 
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -40,10 +39,6 @@ evalOp(const BlockOp &op, std::vector<Word> &regs, MachineMemory &mem)
         if (evalPureOp(op, a, b, c, out))
             return out;
     }
-    // Everything below touches shared machine memory (heap, DRAM,
-    // stats): one lock per op keeps workers serialized only on the
-    // memory ops themselves, never on the pure ALU fast path above.
-    std::lock_guard<std::mutex> guard(mem.mu);
     switch (op.kind) {
       case OpKind::divs:
       case OpKind::divu:
@@ -108,8 +103,6 @@ collectRunStats(dataflow::Engine &engine, size_t num_links,
     stats.schedStepsSkipped = sched.stepsSkipped;
     stats.schedVerifyPasses = sched.verifyPasses;
     stats.schedQuanta = sched.quanta;
-    stats.schedSteals = sched.steals;
-    stats.schedWorkers = sched.workers;
     stats.drained = engine.drained();
     if (!stats.drained) {
         throw std::runtime_error("dataflow execution stalled: " +
@@ -180,7 +173,6 @@ class KeyedRestore : public dataflow::Process
             if (value_batches_ < key_batches_) {
                 // Dead on arrival: the value's batch already closed on
                 // the key side, so no key can ever look it up.
-                std::lock_guard<std::mutex> guard(mem_->mu);
                 mem_->releaseSlot();
             } else {
                 buffered_[next_ordinal_] = {tok.word(), value_batches_};
@@ -201,11 +193,8 @@ class KeyedRestore : public dataflow::Process
         if (it == buffered_.end())
             return false; // the key ran ahead of its parked value
         key_->pop();
-        {
-            std::lock_guard<std::mutex> guard(mem_->mu);
-            ++mem_->stats->sramAccesses;
-            mem_->releaseSlot();
-        }
+        ++mem_->stats->sramAccesses;
+        mem_->releaseSlot();
         out_->push(Token::data(it->second.value));
         buffered_.erase(it);
         return true;
@@ -248,7 +237,6 @@ class KeyedRestore : public dataflow::Process
         }
         if (freed == 0)
             return;
-        std::lock_guard<std::mutex> guard(mem_->mu);
         for (size_t i = 0; i < freed; ++i)
             mem_->releaseSlot();
     }
@@ -270,7 +258,7 @@ class KeyedRestore : public dataflow::Process
 ExecStats
 execute(const Dfg &dfg, lang::DramImage &dram,
         const std::vector<int32_t> &args, uint64_t max_rounds,
-        dataflow::Engine::Policy policy, int num_threads)
+        dataflow::Engine::Policy policy)
 {
     ExecStats stats;
     stats.graphNodes = dfg.nodes.size();
@@ -278,7 +266,6 @@ execute(const Dfg &dfg, lang::DramImage &dram,
     auto mem = std::make_shared<MachineMemory>(dram, stats);
 
     dataflow::Engine engine(policy);
-    engine.setNumThreads(num_threads);
     std::vector<Channel *> chans(dfg.links.size(), nullptr);
     for (const auto &link : dfg.links)
         chans[link.id] = engine.channel(link.name);
@@ -397,12 +384,9 @@ execute(const Dfg &dfg, lang::DramImage &dram,
             // associative semantics live entirely in KeyedRestore.
             auto fn = [mem](const std::vector<Word> &in,
                             std::vector<Word> &out) {
-                {
-                    std::lock_guard<std::mutex> guard(mem->mu);
-                    ++mem->stats->sramAccesses;
-                    ++mem->stats->sramParkedElems;
-                    mem->parkSlot();
-                }
+                ++mem->stats->sramAccesses;
+                ++mem->stats->sramParkedElems;
+                mem->parkSlot();
                 out.push_back(in[0]);
             };
             engine.make<dataflow::ElementWise>(uname, bundleIn(0, 1),
@@ -420,11 +404,8 @@ execute(const Dfg &dfg, lang::DramImage &dram,
             // FIFO restore: an in-order pop, identity on the stream.
             auto fn = [mem](const std::vector<Word> &in,
                             std::vector<Word> &out) {
-                {
-                    std::lock_guard<std::mutex> guard(mem->mu);
-                    ++mem->stats->sramAccesses;
-                    mem->releaseSlot();
-                }
+                ++mem->stats->sramAccesses;
+                mem->releaseSlot();
                 out.push_back(in[0]);
             };
             engine.make<dataflow::ElementWise>(uname, bundleIn(0, 1),

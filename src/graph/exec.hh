@@ -40,10 +40,6 @@ struct ExecStats
      * given graph and policy (each quantum moves the same tokens), so
      * bench/exec_dispatch.cc can report dispatch cost per quantum. */
     uint64_t schedQuanta = 0;
-    /** Cross-worker deque steals (Policy::parallel only). */
-    uint64_t schedSteals = 0;
-    /** Worker threads the engine used (1 for single-threaded runs). */
-    uint64_t schedWorkers = 1;
     uint64_t dramReadElems = 0;
     uint64_t dramWriteElems = 0;
     uint64_t dramReadBytes = 0;
@@ -95,17 +91,14 @@ struct ExecStats
  *
  * @param policy scheduling policy for the streaming engine; all
  *        policies are semantically interchangeable (Kahn-network
- *        determinism) and the worklist default is the serial fast path.
- * @param num_threads worker threads for Policy::parallel (0 defers to
- *        Engine::defaultNumThreads(); ignored by serial policies).
+ *        determinism) and the worklist default is the fast path.
  * @throws std::runtime_error on machine-model violations or livelock.
  */
 ExecStats execute(const Dfg &dfg, lang::DramImage &dram,
                   const std::vector<int32_t> &args,
                   uint64_t max_rounds = dataflow::Engine::defaultMaxRounds,
                   dataflow::Engine::Policy policy =
-                      dataflow::Engine::Policy::worklist,
-                  int num_threads = 0);
+                      dataflow::Engine::Policy::worklist);
 
 } // namespace graph
 } // namespace revet

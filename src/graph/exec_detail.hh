@@ -16,7 +16,6 @@
 #ifndef REVET_GRAPH_EXEC_DETAIL_HH
 #define REVET_GRAPH_EXEC_DETAIL_HH
 
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -34,15 +33,8 @@ namespace detail
 
 /** Shared mutable memory state: DRAM image + dynamically allocated SRAM
  * buffers (the MU allocator pool, unbounded in functional mode).
- *
- * Unlike channels (single producer/consumer each), this state is shared
- * by every block process, so under Engine::Policy::parallel each access
- * runs under `mu` — callers lock, the methods stay lock-free so a
- * locked caller can compose them (alloc inside evalOp's section). The
- * serialization does not perturb results: every DRAM/SRAM cell has a
- * single writer per program point in well-formed Revet programs, and
- * rmw ops are commutative (add/sub), so operation order across threads
- * cannot change final memory. Stats counters are pure sums.
+ * Shared by every block process of one engine, which runs them all on
+ * one thread, so access needs no synchronisation.
  *
  * The DRAM image and stats block are *per-request* state referenced
  * through rebindable pointers: a reusable execution context
@@ -61,9 +53,6 @@ struct MachineMemory
     lang::DramImage *dram = nullptr;
     std::vector<std::vector<uint32_t>> heap;
     ExecStats *stats = nullptr;
-    /** Serializes heap growth, DRAM image access, and stats updates
-     * across engine worker threads. */
-    std::mutex mu;
     /** Park slots currently occupied across all park/restore pairs;
      * the high-water mark lands in ExecStats::sramParkedPeak and the
      * post-run residue in ExecStats::sramParkedEnd. */
@@ -137,8 +126,8 @@ struct MachineMemory
 
 /**
  * Evaluate one block op over @p regs. Pure ALU ops go through
- * graph::evalPureOp lock-free; memory ops (SRAM heap, DRAM image, rmw)
- * and their stats run under @p mem's mutex. Defined in exec.cc; the
+ * graph::evalPureOp; memory ops (SRAM heap, DRAM image, rmw) update
+ * @p mem and its stats. Defined in exec.cc; the
  * bytecode interpreter dispatches its flattened op table through the
  * same function so the two executors cannot drift on memory-op
  * semantics.

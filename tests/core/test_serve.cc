@@ -6,11 +6,11 @@
  *
  * The central contract under test: serving is invisible in results.
  * Whether a request ran on a fresh context or a recycled one, alone or
- * concurrently with others on the same shared artifact, under any
- * scheduling policy — its DRAM image and per-link token/barrier counts
- * must be bit-identical to a serial one-shot run of the step-object
- * oracle. Everything the serving layer is allowed to change is in
- * stats (arena-reuse counters, pool accounting, latency).
+ * concurrently with others on the same shared artifact — its DRAM
+ * image and per-link token/barrier counts must be bit-identical to a
+ * serial one-shot run of the step-object oracle. Everything the
+ * serving layer is allowed to change is in stats (arena-reuse
+ * counters, pool accounting, latency).
  */
 
 #include <gtest/gtest.h>
@@ -62,10 +62,10 @@ stepObjectOracle(const CompiledArtifact &artifact, const apps::App &app,
     return {dramBytes(dram), stats.linkTokens, stats.linkBarriers};
 }
 
-/** N serving workers x K requests over one shared artifact under
- * @p policy; every request checked against the serial oracle. */
+/** N serving workers x K requests over one shared artifact; every
+ * request checked against the serial oracle. */
 void
-runConcurrentBattery(Engine::Policy policy, int engine_threads)
+runConcurrentBattery()
 {
     for (const char *fixture : {"murmur3", "isipv4"}) {
         const apps::App &app = apps::findApp(fixture);
@@ -89,8 +89,6 @@ runConcurrentBattery(Engine::Policy policy, int engine_threads)
 
         serve::ServeOptions opts;
         opts.workers = 4;
-        opts.policy = policy;
-        opts.engineThreads = engine_threads;
         serve::BatchReport rep =
             serve::serveBatch(artifact, requests, opts);
 
@@ -124,20 +122,7 @@ runConcurrentBattery(Engine::Policy policy, int engine_threads)
 
 TEST(ServeConcurrency, BitIdenticalUnderWorklist)
 {
-    runConcurrentBattery(Engine::Policy::worklist, 0);
-}
-
-TEST(ServeConcurrency, BitIdenticalUnderRoundRobin)
-{
-    runConcurrentBattery(Engine::Policy::roundRobin, 0);
-}
-
-TEST(ServeConcurrency, BitIdenticalUnderParallel)
-{
-    // Serving workers *and* engine workers: 4 x 2 threads over one
-    // artifact — the TSan configuration of scripts/check.sh leans on
-    // this case.
-    runConcurrentBattery(Engine::Policy::parallel, 2);
+    runConcurrentBattery();
 }
 
 TEST(ServeConcurrency, RawThreadsShareOneArtifact)
@@ -462,7 +447,7 @@ TEST(ServePool, RecyclesDiscardsAndSelfHeals)
     lang::DramImage dram(artifact->hir());
     auto args = app.generate(dram, 4);
     EXPECT_THROW(
-        c2->run(dram, args, Engine::Policy::worklist, 0, /*max_rounds=*/0),
+        c2->run(dram, args, Engine::Policy::worklist, /*max_rounds=*/0),
         std::runtime_error);
     EXPECT_TRUE(c2->poisoned());
 
@@ -478,7 +463,7 @@ TEST(ServePool, RecyclesDiscardsAndSelfHeals)
     // re-parked.
     lang::DramImage dram3(artifact->hir());
     auto args3 = app.generate(dram3, 4);
-    EXPECT_THROW(c2->run(dram3, args3, Engine::Policy::worklist, 0, 0),
+    EXPECT_THROW(c2->run(dram3, args3, Engine::Policy::worklist, 0),
                  std::runtime_error);
     pool.release(std::move(c2));
     auto st = pool.stats();

@@ -4,15 +4,14 @@
  * tests.
  *
  * The equivalence suite runs every Table III app fixture and a set of
- * language fixtures under ALL Engine::Policy values — roundRobin,
- * worklist, and parallel at 4 worker threads — and asserts the
- * executions are bit-identical — same DRAM bytes, same per-link token
- * counts, same drained flag — and that all of them match the AST
- * reference interpreter. Kahn-network determinism says scheduling order
- * cannot be observable; these tests certify our schedulers actually
- * keep that promise (including under true concurrency), so the hot
- * path can be refactored without risking the semantic-reference
- * guarantee in graph/exec.hh.
+ * language fixtures under both Engine::Policy values — roundRobin and
+ * worklist — and asserts the executions are bit-identical — same DRAM
+ * bytes, same per-link token counts, same drained flag — and that both
+ * match the AST reference interpreter. Kahn-network determinism says
+ * scheduling order cannot be observable; these tests certify our
+ * schedulers actually keep that promise, so the hot path can be
+ * refactored without risking the semantic-reference guarantee in
+ * graph/exec.hh.
  *
  * The backpressure tests exercise the bounded-channel fixes: push on a
  * full channel throws (capacity 1 and the degenerate capacity 0),
@@ -22,9 +21,6 @@
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <thread>
 
 #include "apps/apps.hh"
 #include "core/revet.hh"
@@ -47,15 +43,6 @@ namespace
 constexpr Engine::Policy kPolicies[] = {Engine::Policy::roundRobin,
                                         Engine::Policy::worklist};
 
-/** All three policies; parallel tests pin the worker count so the
- * matrix exercises real cross-thread traffic even when the host (or
- * REVET_NUM_THREADS) would default to 1. */
-constexpr Engine::Policy kAllPolicies[] = {Engine::Policy::roundRobin,
-                                           Engine::Policy::worklist,
-                                           Engine::Policy::parallel};
-
-constexpr int kTestWorkers = 4;
-
 struct PolicyRun
 {
     graph::ExecStats stats;
@@ -67,20 +54,20 @@ PolicyRun
 runUnderPolicy(const CompiledProgram &prog,
                const std::function<std::vector<int32_t>(DramImage &)>
                    &generate,
-               Engine::Policy policy, int num_threads = 0)
+               Engine::Policy policy)
 {
     PolicyRun out;
     DramImage dram(prog.hir());
     auto args = generate(dram);
-    out.stats = prog.execute(dram, args, policy, num_threads);
+    out.stats = prog.execute(dram, args, policy);
     for (int d = 0; d < dram.dramCount(); ++d)
         out.dram_bytes.push_back(dram.bytes(d));
     return out;
 }
 
 /**
- * Compile @p source, run it under all three policies plus the
- * interpreter, and assert all four agree bit-for-bit.
+ * Compile @p source, run it under both policies plus the interpreter,
+ * and assert all three agree bit-for-bit.
  */
 void
 expectPoliciesEquivalent(
@@ -98,45 +85,26 @@ expectPoliciesEquivalent(
                                   Engine::Policy::roundRobin);
     PolicyRun wl = runUnderPolicy(prog, generate,
                                   Engine::Policy::worklist);
-    PolicyRun pl = runUnderPolicy(prog, generate,
-                                  Engine::Policy::parallel,
-                                  kTestWorkers);
 
     EXPECT_TRUE(rr.stats.drained) << label;
     EXPECT_TRUE(wl.stats.drained) << label;
-    EXPECT_TRUE(pl.stats.drained) << label;
     EXPECT_EQ(rr.stats.linkTokens, wl.stats.linkTokens)
         << label << ": per-link token counts diverged between policies";
-    EXPECT_EQ(wl.stats.linkTokens, pl.stats.linkTokens)
-        << label
-        << ": per-link token counts diverged under the parallel policy";
     EXPECT_EQ(rr.stats.linkBarriers, wl.stats.linkBarriers) << label;
-    EXPECT_EQ(wl.stats.linkBarriers, pl.stats.linkBarriers) << label;
     ASSERT_EQ(rr.dram_bytes.size(), wl.dram_bytes.size()) << label;
-    ASSERT_EQ(rr.dram_bytes.size(), pl.dram_bytes.size()) << label;
     for (size_t d = 0; d < rr.dram_bytes.size(); ++d) {
         EXPECT_EQ(rr.dram_bytes[d], wl.dram_bytes[d])
             << label << ": DRAM region " << d
             << " diverged between policies";
-        EXPECT_EQ(wl.dram_bytes[d], pl.dram_bytes[d])
-            << label << ": DRAM region " << d
-            << " diverged under the parallel policy";
         EXPECT_EQ(ref.bytes(static_cast<int>(d)), wl.dram_bytes[d])
             << label << ": DRAM region " << d
             << " diverged from the AST interpreter";
     }
     // The worklist path must never rely on its certification fallback:
     // a missed wakeup is a notification-wiring bug even though the
-    // rescan would mask it functionally. (The parallel policy gets no
-    // such assertion: benign notify-while-running races may legally
-    // defer a wakeup to the certification rescan.)
+    // rescan would mask it functionally.
     EXPECT_EQ(wl.stats.schedVerifyPasses, 1u)
         << label << ": worklist needed more than one quiescence rescan";
-    // Sharding must actually have happened (no silent fallback to the
-    // serial worklist on these multi-process graphs).
-    EXPECT_EQ(pl.stats.schedWorkers,
-              static_cast<uint64_t>(kTestWorkers))
-        << label;
 }
 
 } // namespace
@@ -156,19 +124,12 @@ TEST_P(SchedulerEquivalence, AppBitIdenticalUnderAllPolicies)
         [&](DramImage &dram) { return app.generate(dram, scale); },
         app.name);
 
-    // And the golden verifier must pass under the worklist policy...
+    // And the golden verifier must pass under the worklist policy.
     auto prog = CompiledProgram::compile(app.source);
     DramImage dram(prog.hir());
     auto args = app.generate(dram, scale);
     prog.execute(dram, args, Engine::Policy::worklist);
     EXPECT_EQ(app.verify(dram, scale), "") << app.name;
-
-    // ...and under the parallel policy with real worker threads.
-    DramImage pdram(prog.hir());
-    auto pargs = app.generate(pdram, scale);
-    prog.execute(pdram, pargs, Engine::Policy::parallel, kTestWorkers);
-    EXPECT_EQ(app.verify(pdram, scale), "")
-        << app.name << " (parallel)";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -444,244 +405,43 @@ TEST(WorklistScheduler, LivelockMessageNamesWorkingRounds)
 }
 
 // ---------------------------------------------------------------------
-// Parallel scheduler mechanics: work stealing, distributed quiescence,
-// and cross-thread channel traffic.
+// Fault propagation.
 
-namespace
+TEST(EngineFaults, PrimitiveExceptionReachesCallerAndEngineRecovers)
 {
-
-/** Build the skewed region-array fixture (replicas x stages pipeline
- * chains, only replica 0 fed) on @p e; returns replica 0's sink. */
-Sink *
-buildSkewedArray(Engine &e, int replicas, int stages, int tokens,
-                 size_t capacity)
-{
-    Sink *sink0 = nullptr;
-    for (int rep = 0; rep < replicas; ++rep) {
-        Channel *cur = e.channel(
-            "r" + std::to_string(rep) + ".in", capacity);
-        if (rep == 0) {
-            StreamBuilder sb;
-            for (int i = 0; i < tokens; ++i)
-                sb.d(static_cast<Word>(i));
-            sb.b(1);
-            e.make<Source>("src", cur, sb.build());
+    // A throwing primitive must surface its exception from run() under
+    // every policy, and the engine must stay usable: the next run()
+    // re-seeds its scheduler state and finishes the remaining work.
+    for (Engine::Policy policy : kPolicies) {
+        Engine e(policy);
+        bool fault = true;
+        auto *a = e.channel("a");
+        auto *b = e.channel("b");
+        e.make<Source>("src", a, StreamBuilder().d(7).d(8).b(1));
+        e.make<ElementWise>("boom", Bundle{a}, Bundle{b},
+                            [&fault](const std::vector<Word> &in,
+                                     std::vector<Word> &out) {
+                                if (fault)
+                                    throw std::runtime_error(
+                                        "injected fault");
+                                out.push_back(in[0] + 100);
+                            });
+        auto *sink = e.make<Sink>("sink", b);
+        try {
+            e.run();
+            FAIL() << "expected the primitive's exception to propagate";
+        } catch (const std::runtime_error &err) {
+            EXPECT_NE(std::string(err.what()).find("injected fault"),
+                      std::string::npos)
+                << err.what();
         }
-        for (int stage = 0; stage < stages; ++stage) {
-            Channel *next = e.channel(
-                "r" + std::to_string(rep) + ".s" +
-                    std::to_string(stage),
-                capacity);
-            e.make<ElementWise>(
-                "ew", Bundle{cur}, Bundle{next},
-                [](const std::vector<Word> &in,
-                   std::vector<Word> &out) {
-                    out.push_back(in[0] * 3 + 1);
-                });
-            cur = next;
-        }
-        Sink *s = e.make<Sink>("sink", cur);
-        if (rep == 0)
-            sink0 = s;
-    }
-    return sink0;
-}
-
-} // namespace
-
-TEST(ParallelScheduler, SkewedPipelineBitIdenticalToWorklist)
-{
-    Engine wl(Engine::Policy::worklist);
-    Sink *wl_sink = buildSkewedArray(wl, 8, 8, 200, 4);
-    wl.run();
-    ASSERT_TRUE(wl.drained());
-
-    Engine pl(Engine::Policy::parallel);
-    pl.setNumThreads(kTestWorkers);
-    Sink *pl_sink = buildSkewedArray(pl, 8, 8, 200, 4);
-    pl.run();
-    EXPECT_TRUE(pl.drained());
-    EXPECT_EQ(pl_sink->collected(), wl_sink->collected())
-        << "parallel scheduling leaked into the token stream";
-    // Useful work is schedule-independent on a merge-free chain.
-    EXPECT_EQ(pl.schedStats().quanta, wl.schedStats().quanta);
-    EXPECT_EQ(pl.schedStats().workers,
-              static_cast<uint64_t>(kTestWorkers));
-}
-
-TEST(ParallelScheduler, RepeatedRunsAreDeterministic)
-{
-    TokenStream first;
-    for (int trial = 0; trial < 3; ++trial) {
-        Engine e(Engine::Policy::parallel);
-        e.setNumThreads(kTestWorkers);
-        Sink *sink = buildSkewedArray(e, 4, 6, 300, 2);
+        fault = false;
         e.run();
-        ASSERT_TRUE(e.drained());
-        if (trial == 0)
-            first = sink->collected();
-        else
-            EXPECT_EQ(sink->collected(), first)
-                << "trial " << trial << " diverged";
+        EXPECT_TRUE(e.drained());
+        // The faulting firing consumed token 7; the rest gets through.
+        EXPECT_EQ(sink->collected(),
+                  (TokenStream)StreamBuilder().d(108).b(1));
     }
-}
-
-TEST(ParallelScheduler, SmallGraphFallsBackToSerialWorklist)
-{
-    // One process cannot be sharded; the engine must degrade to the
-    // worklist (workers == 1) rather than spin up useless threads.
-    Engine e(Engine::Policy::parallel);
-    e.setNumThreads(kTestWorkers);
-    auto *out = e.channel("out");
-    e.make<Source>("src", out, StreamBuilder().d(1).b(1));
-    e.run();
-    EXPECT_EQ(e.schedStats().workers, 1u);
-}
-
-TEST(ParallelScheduler, ExternalPushesBetweenRunsAreScheduled)
-{
-    // Parallel run state is rebuilt per run(); re-running after
-    // out-of-band pushes must re-seed every worker deque.
-    Engine e(Engine::Policy::parallel);
-    e.setNumThreads(2);
-    auto *in = e.channel("in");
-    auto *out = e.channel("out");
-    e.make<Flatten>("flat", in, out);
-    auto *sink = e.make<Sink>("sink", out);
-    e.run();
-    EXPECT_TRUE(sink->collected().empty());
-    in->pushAll(StreamBuilder().d(5).b(2));
-    e.run();
-    EXPECT_EQ(sink->collected(), (TokenStream)StreamBuilder().d(5).b(1));
-    EXPECT_TRUE(e.drained());
-}
-
-TEST(ParallelScheduler, PrimitiveExceptionPropagatesFromWorker)
-{
-    Engine e(Engine::Policy::parallel);
-    e.setNumThreads(kTestWorkers);
-    auto *a = e.channel("a");
-    auto *b = e.channel("b");
-    auto *c = e.channel("c");
-    e.make<Source>("src", a, StreamBuilder().d(7).b(1));
-    e.make<ElementWise>("boom", Bundle{a}, Bundle{b},
-                        [](const std::vector<Word> &,
-                           std::vector<Word> &) -> void {
-                            throw std::runtime_error("injected fault");
-                        });
-    e.make<Sink>("sink", b);
-    e.make<Sink>("sink2", c);
-    try {
-        e.run();
-        FAIL() << "expected the worker's exception to propagate";
-    } catch (const std::runtime_error &err) {
-        EXPECT_NE(std::string(err.what()).find("injected fault"),
-                  std::string::npos)
-            << err.what();
-    }
-}
-
-TEST(ParallelScheduler, StallReportSafeAfterParallelRun)
-{
-    // Satellite: stallReport after a parallel run must reflect the
-    // joined workers' final state, same content as the serial report.
-    Engine e(Engine::Policy::parallel);
-    e.setNumThreads(kTestWorkers);
-    auto *fwd = e.channel("fwd");
-    auto *back = e.channel("back");
-    auto *out = e.channel("out");
-    e.make<Source>("src", fwd, StreamBuilder().d(1).b(1));
-    e.make<FwdBackMerge>("head", Bundle{fwd}, Bundle{back},
-                         Bundle{out});
-    e.make<Sink>("sink", out);
-    e.run();
-    EXPECT_TRUE(e.drained());
-    std::string report = e.stallReport();
-    EXPECT_NE(report.find("stalled channels: none"), std::string::npos)
-        << report;
-    EXPECT_NE(report.find("head"), std::string::npos) << report;
-    EXPECT_NE(report.find("mode=drain"), std::string::npos) << report;
-}
-
-TEST(ParallelScheduler, LivelockDetectedAcrossWorkers)
-{
-    // A two-process token cycle never quiesces; the distributed
-    // progress counter must trip the cap and raise the livelock error
-    // out of the worker pool.
-    Engine e(Engine::Policy::parallel);
-    e.setNumThreads(2);
-    auto *a = e.channel("a");
-    auto *b = e.channel("b");
-    a->push(Token::data(1));
-    auto passthrough = [](const std::vector<Word> &in,
-                          std::vector<Word> &out) {
-        out.push_back(in[0]);
-    };
-    e.make<ElementWise>("fwd", Bundle{a}, Bundle{b}, passthrough);
-    e.make<ElementWise>("back", Bundle{b}, Bundle{a}, passthrough);
-    try {
-        e.run(100);
-        FAIL() << "expected livelock throw";
-    } catch (const std::runtime_error &err) {
-        EXPECT_NE(std::string(err.what()).find("livelock"),
-                  std::string::npos)
-            << err.what();
-    }
-}
-
-TEST(ParallelScheduler, ContendedCapacityOneChainsBitIdentical)
-{
-    // Satellite: capacity-0/1 backpressure under contention. Every
-    // chain is fed (not just replica 0) and every channel holds one
-    // token, so with 8 workers the full->non-full and empty->non-empty
-    // edges fire constantly across threads. Results must match the
-    // serial worklist chain for chain.
-    constexpr int kChains = 8;
-    constexpr int kStages = 6;
-    constexpr int kTokens = 64;
-    auto build = [&](Engine &e, std::vector<Sink *> &sinks) {
-        for (int chain = 0; chain < kChains; ++chain) {
-            Channel *cur = e.channel(
-                "c" + std::to_string(chain) + ".in", 1);
-            StreamBuilder sb;
-            for (int i = 0; i < kTokens; ++i)
-                sb.d(static_cast<Word>(chain * 1000 + i));
-            sb.b(1);
-            e.make<Source>("src", cur, sb.build());
-            for (int stage = 0; stage < kStages; ++stage) {
-                Channel *next = e.channel(
-                    "c" + std::to_string(chain) + ".s" +
-                        std::to_string(stage),
-                    1);
-                e.make<ElementWise>(
-                    "ew", Bundle{cur}, Bundle{next},
-                    [](const std::vector<Word> &in,
-                       std::vector<Word> &out) {
-                        out.push_back(in[0] + 1);
-                    });
-                cur = next;
-            }
-            sinks.push_back(e.make<Sink>("sink", cur));
-        }
-    };
-    Engine wl(Engine::Policy::worklist);
-    std::vector<Sink *> wl_sinks;
-    build(wl, wl_sinks);
-    wl.run();
-    ASSERT_TRUE(wl.drained());
-
-    Engine pl(Engine::Policy::parallel);
-    pl.setNumThreads(8);
-    std::vector<Sink *> pl_sinks;
-    build(pl, pl_sinks);
-    pl.run();
-    EXPECT_TRUE(pl.drained());
-    ASSERT_EQ(pl_sinks.size(), wl_sinks.size());
-    for (size_t i = 0; i < wl_sinks.size(); ++i) {
-        EXPECT_EQ(pl_sinks[i]->collected(), wl_sinks[i]->collected())
-            << "chain " << i << " diverged under contention";
-    }
-    EXPECT_EQ(pl.schedStats().quanta, wl.schedStats().quanta);
 }
 
 // ---------------------------------------------------------------------
@@ -714,9 +474,8 @@ TEST(Backpressure, CapacityZeroChannelRejectsEveryPush)
 
 TEST(Backpressure, CapacityOnePipelineDrainsUnderEveryPolicy)
 {
-    for (Engine::Policy policy : kAllPolicies) {
+    for (Engine::Policy policy : kPolicies) {
         Engine e(policy);
-        e.setNumThreads(kTestWorkers);
         auto *a = e.channel("a", 1);
         auto *b = e.channel("b", 1);
         auto *c = e.channel("c", 1);
@@ -745,9 +504,8 @@ TEST(Backpressure, CapacityZeroOutputStallsWithoutLivelock)
     // A source feeding a capacity-0 channel can never make progress;
     // the engine must quiesce (not spin) and the stall report must name
     // the blocked source even though every channel is empty.
-    for (Engine::Policy policy : kAllPolicies) {
+    for (Engine::Policy policy : kPolicies) {
         Engine e(policy);
-        e.setNumThreads(kTestWorkers);
         auto *dead = e.channel("dead", 0);
         auto *src =
             e.make<Source>("stuckSrc", dead, StreamBuilder().d(1).b(1));
@@ -831,94 +589,4 @@ TEST(StallReport, IncludedInLivelockException)
             << msg;
         EXPECT_NE(msg.find("head"), std::string::npos) << msg;
     }
-}
-
-// ---------------------------------------------------------------------
-// REVET_NUM_THREADS parsing: the knob must parse *strictly* — a typo
-// like "8abc" used to be absorbed as 8 by atoi semantics. Invalid
-// values fall back to hardware concurrency with a warning instead.
-
-namespace
-{
-
-/** Scoped setenv/unsetenv so a failing assertion can't leak the knob
- * into later tests (notably the parallel-policy matrix). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr)
-            saved_ = old;
-        had_ = old != nullptr;
-        if (value != nullptr)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            setenv(name_, saved_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-    ScopedEnv(const ScopedEnv &) = delete;
-    ScopedEnv &operator=(const ScopedEnv &) = delete;
-
-  private:
-    const char *name_;
-    std::string saved_;
-    bool had_ = false;
-};
-
-int
-hardwareFallback()
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-} // namespace
-
-TEST(NumThreadsKnob, UnsetUsesHardwareConcurrency)
-{
-    ScopedEnv env("REVET_NUM_THREADS", nullptr);
-    EXPECT_EQ(Engine::defaultNumThreads(), hardwareFallback());
-}
-
-TEST(NumThreadsKnob, ValidValueAccepted)
-{
-    ScopedEnv env("REVET_NUM_THREADS", "2");
-    EXPECT_EQ(Engine::defaultNumThreads(), 2);
-    ScopedEnv env2("REVET_NUM_THREADS", "1023");
-    EXPECT_EQ(Engine::defaultNumThreads(), 1023);
-}
-
-TEST(NumThreadsKnob, TrailingJunkRejected)
-{
-    // The historical bug: strtol-without-endptr (or atoi) reads "8abc"
-    // as 8. Strict parsing must reject it.
-    ScopedEnv env("REVET_NUM_THREADS", "8abc");
-    EXPECT_EQ(Engine::defaultNumThreads(), hardwareFallback());
-}
-
-TEST(NumThreadsKnob, GarbageZeroNegativeAndHugeRejected)
-{
-    for (const char *bad : {"abc", "", " ", "0", "-3", "1024", "1e3",
-                            "99999999999999999999"}) {
-        ScopedEnv env("REVET_NUM_THREADS", bad);
-        EXPECT_EQ(Engine::defaultNumThreads(), hardwareFallback())
-            << "value \"" << bad << "\" should fall back";
-    }
-}
-
-TEST(NumThreadsKnob, EngineResolvesKnobForParallelRuns)
-{
-    ScopedEnv env("REVET_NUM_THREADS", "3");
-    Engine e(Engine::Policy::parallel);
-    EXPECT_EQ(e.numThreads(), 3);
-    e.setNumThreads(2); // explicit setting beats the environment
-    EXPECT_EQ(e.numThreads(), 2);
 }

@@ -7,8 +7,8 @@
  * semantic oracle. These tests hold the two bit-identical — same DRAM
  * bytes, same per-link token and barrier counts, same drained flag —
  * across every Table III app fixture and every language-construct
- * fixture, under all three scheduling policies (roundRobin, worklist,
- * and parallel with real worker threads). Kahn-network determinism
+ * fixture, under both scheduling policies (roundRobin and worklist).
+ * Kahn-network determinism
  * makes the executor, like the scheduler, unobservable through
  * results; this suite certifies the bytecode interpreter actually
  * keeps that promise, token for token.
@@ -39,10 +39,7 @@ namespace
 {
 
 constexpr Engine::Policy kAllPolicies[] = {Engine::Policy::roundRobin,
-                                           Engine::Policy::worklist,
-                                           Engine::Policy::parallel};
-
-constexpr int kTestWorkers = 4;
+                                           Engine::Policy::worklist};
 
 const char *
 policyName(Engine::Policy policy)
@@ -50,7 +47,6 @@ policyName(Engine::Policy policy)
     switch (policy) {
       case Engine::Policy::roundRobin: return "roundRobin";
       case Engine::Policy::worklist: return "worklist";
-      case Engine::Policy::parallel: return "parallel";
     }
     return "?";
 }
@@ -69,8 +65,7 @@ runWith(const CompiledProgram &prog, ExecutorKind executor,
     ExecutorRun out;
     DramImage dram(prog.hir());
     auto args = generate(dram);
-    int threads = policy == Engine::Policy::parallel ? kTestWorkers : 0;
-    out.stats = prog.executeWith(executor, dram, args, policy, threads);
+    out.stats = prog.executeWith(executor, dram, args, policy);
     for (int d = 0; d < dram.dramCount(); ++d)
         out.dram_bytes.push_back(dram.bytes(d));
     return out;
@@ -78,7 +73,7 @@ runWith(const CompiledProgram &prog, ExecutorKind executor,
 
 /**
  * Run @p source under both executors under every policy and assert
- * the six runs are pairwise bit-identical per policy.
+ * the four runs are pairwise bit-identical per policy.
  */
 void
 expectExecutorsEquivalent(
@@ -114,14 +109,8 @@ expectExecutorsEquivalent(
             << where;
         EXPECT_EQ(step.stats.sramParkedElems, bc.stats.sramParkedElems)
             << where;
-        // The park-occupancy high-water mark is a race between parks
-        // and restores, so it is only schedule-deterministic under the
-        // serial policies; parallel interleavings may legitimately
-        // differ between runs (traffic totals above may not).
-        if (policy != Engine::Policy::parallel) {
-            EXPECT_EQ(step.stats.sramParkedPeak, bc.stats.sramParkedPeak)
-                << where;
-        }
+        EXPECT_EQ(step.stats.sramParkedPeak, bc.stats.sramParkedPeak)
+            << where;
         EXPECT_EQ(step.stats.sramParkedEnd, 0u) << where;
         EXPECT_EQ(bc.stats.sramParkedEnd, 0u) << where;
         EXPECT_EQ(step.stats.graphNodes, bc.stats.graphNodes) << where;

@@ -882,7 +882,7 @@ passConfig(const std::string &which)
 
 std::vector<std::vector<uint8_t>>
 runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
-         dataflow::Engine::Policy policy, int num_threads = 0,
+         dataflow::Engine::Policy policy,
          graph::ExecStats *statsOut = nullptr,
          graph::ExecutorKind executor = graph::ExecutorKind::stepObjects)
 {
@@ -897,9 +897,8 @@ runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
     auto stats =
         executor == graph::ExecutorKind::bytecode
             ? graph::execute(graph::BytecodeProgram::compile(g), dram,
-                             {}, 1u << 24, policy, num_threads)
-            : graph::execute(g, dram, {}, 1u << 24, policy,
-                             num_threads);
+                             {}, 1u << 24, policy)
+            : graph::execute(g, dram, {}, 1u << 24, policy);
     EXPECT_TRUE(stats.drained);
     if (statsOut)
         *statsOut = stats;
@@ -971,25 +970,20 @@ diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
     struct PolicyCase
     {
         dataflow::Engine::Policy policy;
-        int threads;
         const char *name;
     };
-    // The parallel case pins 2 workers: enough for real cross-thread
-    // channel traffic (and TSan evidence) without oversubscribing the
-    // 3200-execution sweep.
     const PolicyCase cases[] = {
-        {dataflow::Engine::Policy::roundRobin, 0, "roundRobin"},
-        {dataflow::Engine::Policy::worklist, 0, "worklist"},
-        {dataflow::Engine::Policy::parallel, 2, "parallel"},
+        {dataflow::Engine::Policy::roundRobin, "roundRobin"},
+        {dataflow::Engine::Policy::worklist, "worklist"},
     };
     bool oracle_done = false;
     std::vector<std::vector<uint8_t>> first_raw;
     for (const auto &pc : cases) {
         graph::ExecStats sa, sb;
         auto a = runGraph(gen.graph, gen.scratchElems, gen.outElems,
-                          seed, pc.policy, pc.threads, &sa);
+                          seed, pc.policy, &sa);
         auto b = runGraph(optimized, gen.scratchElems, gen.outElems,
-                          seed, pc.policy, pc.threads, &sb);
+                          seed, pc.policy, &sb);
         if (!oracle_done) {
             // Per-link value sets are policy-independent; one policy's
             // observations are enough evidence per graph.
@@ -1001,8 +995,8 @@ diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
                 return "absint oracle: " + v;
             first_raw = a;
         } else {
-            // Cross-policy oracle: scheduling (including true
-            // concurrency) must never leak into DRAM results.
+            // Cross-policy oracle: scheduling must never leak into DRAM
+            // results.
             for (size_t d = 0; d < a.size(); ++d) {
                 if (a[d] != first_raw[d]) {
                     return "DRAM region " + std::to_string(d) +
@@ -1019,15 +1013,15 @@ diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
     }
     // Executor oracle: the bytecode dispatch loop must reproduce the
     // step-object executor's DRAM effects bit-for-bit on both the raw
-    // and the optimized graph (one policy suffices — the tri-policy
+    // and the optimized graph (one policy suffices — the policy
     // matrix above already certifies schedule independence).
     {
         graph::ExecStats sa, sb;
         auto a = runGraph(gen.graph, gen.scratchElems, gen.outElems,
-                          seed, dataflow::Engine::Policy::worklist, 0,
+                          seed, dataflow::Engine::Policy::worklist,
                           &sa, graph::ExecutorKind::bytecode);
         auto b = runGraph(optimized, gen.scratchElems, gen.outElems,
-                          seed, dataflow::Engine::Policy::worklist, 0,
+                          seed, dataflow::Engine::Policy::worklist,
                           &sb, graph::ExecutorKind::bytecode);
         for (size_t d = 0; d < a.size(); ++d) {
             if (a[d] != first_raw[d]) {
