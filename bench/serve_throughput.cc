@@ -1,25 +1,27 @@
 /**
  * @file
- * Serving-layer gates: cached artifact + pooled execution contexts
- * versus naive compile-per-request, and request-level scaling.
+ * Serving-layer gates: what the serving path adds on top of a bare
+ * execution, and request-level scaling.
  *
- * Two modes over the same request batch (Table III fixtures, fixed
- * scale, W serving workers):
+ * Two modes over the same requests (Table III fixtures, fixed scale,
+ * one thread), so the ratio isolates what serving itself costs:
  *
- *  - naive: every request parses, analyzes, optimizes, and lowers the
- *    program from scratch (CompiledProgram::compile) before running it
- *    — the cost a frontend pays without the serving layer.
- *  - cached: every request looks its program up in the process-wide
- *    ArtifactCache (one compile per fixture, then pure hits) and runs
- *    on a pooled, reset-and-reused graph::ExecutionContext via
- *    serve::serveBatch.
+ *  - bare: one graph::ExecutionContext over the artifact, reset and
+ *    reused by ExecutionContext::run for every request, in a plain
+ *    loop — the floor any serving layer is measured against.
+ *  - served: every request looks its program up in the process-wide
+ *    ArtifactCache (a hit), then the batch runs through
+ *    serve::serveBatch on one worker with pooled contexts.
  *
  * Acceptance gates (exit non-zero on violation, like exec_dispatch):
  *  - every request in both modes succeeds and the first request's
- *    DRAM output passes the app's golden verifier;
+ *    DRAM output passes the app's golden verifier (bare and through a
+ *    4-worker serveBatch);
  *  - the artifact cache serves exactly requests-1 hits per fixture
  *    (one miss, then all hits);
- *  - aggregate cached throughput >= 5x naive throughput;
+ *  - serving overhead: over interleaved served/bare batch pairs (after
+ *    one untimed warm-up pair), the median served/bare wall-time ratio
+ *    is <= 1.25x on every fixture;
  *  - request-level scaling: serveBatch at 4 workers is >= 2x faster
  *    than at 1 worker on search and huff-enc (scale 16). Each request
  *    runs single-threaded, so this is where the host's cores are used.
@@ -33,7 +35,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -53,22 +54,20 @@ constexpr int kScale = 16;
 constexpr int kRequests = 32;
 constexpr int kWorkers = 4;
 
+constexpr int kOverheadPairs = 7;
+constexpr double kMaxOverhead = 1.25;
+
 constexpr int kScalingRequests = 24;
 constexpr int kScalingPairs = 5;
 
 using Clock = std::chrono::steady_clock;
 
-struct ModeResult
+double
+msSince(Clock::time_point start)
 {
-    double wallMs = 0;
-    double reqPerSec = 0;
-    double p50Ms = 0;
-    double p99Ms = 0;
-    double cacheHitRate = 0; ///< cached mode only
-    size_t failed = 0;
-    std::string firstError;
-    bool verified = false;
-};
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+}
 
 double
 percentile(std::vector<double> v, double p)
@@ -77,64 +76,6 @@ percentile(std::vector<double> v, double p)
     const size_t rank = static_cast<size_t>(
         std::ceil(p / 100.0 * static_cast<double>(v.size())));
     return v[std::min(rank == 0 ? 0 : rank - 1, v.size() - 1)];
-}
-
-/** Compile-per-request baseline: same batch shape as serveBatch (one
- * atomic work index, W threads), but each request pays a full
- * CompiledProgram::compile before executing. */
-ModeResult
-runNaive(const apps::App &app)
-{
-    ModeResult out;
-    std::vector<double> latency(kRequests, 0);
-    std::vector<std::string> errors(kRequests);
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> failed{0};
-    const Clock::time_point start = Clock::now();
-
-    auto work = [&]() {
-        for (;;) {
-            const size_t i = next.fetch_add(1);
-            if (i >= static_cast<size_t>(kRequests))
-                return;
-            try {
-                auto prog = CompiledProgram::compile(app.source);
-                lang::DramImage dram(prog.hir());
-                auto args = app.generate(dram, kScale);
-                auto stats = prog.execute(dram, args);
-                if (i == 0)
-                    errors[0] = app.verify(dram, kScale);
-                (void)stats;
-            } catch (const std::exception &e) {
-                errors[i] = e.what();
-                failed.fetch_add(1);
-            }
-            latency[i] = std::chrono::duration<double, std::milli>(
-                             Clock::now() - start)
-                             .count();
-        }
-    };
-    std::vector<std::thread> threads;
-    for (int w = 0; w < kWorkers; ++w)
-        threads.emplace_back(work);
-    for (auto &t : threads)
-        t.join();
-
-    out.wallMs = std::chrono::duration<double, std::milli>(Clock::now() -
-                                                           start)
-                     .count();
-    out.reqPerSec = kRequests / (out.wallMs / 1000.0);
-    out.p50Ms = percentile(latency, 50.0);
-    out.p99Ms = percentile(latency, 99.0);
-    out.failed = failed.load();
-    out.verified = out.failed == 0 && errors[0].empty();
-    for (const auto &e : errors) {
-        if (!e.empty()) {
-            out.firstError = e;
-            break;
-        }
-    }
-    return out;
 }
 
 /** Point every request's prepare hook at @p app's input generator at
@@ -149,51 +90,141 @@ generateInputs(std::vector<serve::Request> &requests, const apps::App &app)
     }
 }
 
-/** Serving path: per-request ArtifactCache lookup (one compile, then
- * hits), then the batch on pooled contexts through serveBatch. */
-ModeResult
-runCached(const apps::App &app)
+/** Bare floor: kRequests runs on one reused context; returns the wall
+ * time. The first request's output is checked (outside the clock)
+ * when @p verify is non-null. */
+double
+bareBatchMs(const apps::App &app, const CompiledArtifact &artifact,
+            graph::ExecutionContext &ctx, std::string *verify)
 {
-    ModeResult out;
-    ArtifactCache::global().clear();
-    const Clock::time_point start = Clock::now();
+    double ms = 0;
+    for (int i = 0; i < kRequests; ++i) {
+        const Clock::time_point start = Clock::now();
+        lang::DramImage dram(artifact.hir());
+        auto args = app.generate(dram, kScale);
+        ctx.run(dram, args);
+        ms += msSince(start);
+        if (i == 0 && verify)
+            *verify = app.verify(dram, kScale);
+    }
+    return ms;
+}
 
-    // The per-request cache lookups a serving frontend would issue;
-    // hoisted before the batch but on the clock, so the cached mode
-    // pays its lookup cost.
+/** Served: a cache lookup per request, then one serveBatch on one
+ * worker; returns the wall time, and false in @p ok on any failure. */
+double
+servedBatchMs(const apps::App &app, bool &ok)
+{
+    const Clock::time_point start = Clock::now();
     std::shared_ptr<const CompiledArtifact> artifact;
     for (int i = 0; i < kRequests; ++i)
         artifact = ArtifactCache::global().get(app.source);
+    std::vector<serve::Request> requests(kRequests);
+    generateInputs(requests, app);
+    serve::ServeOptions opts;
+    opts.workers = 1;
+    opts.keepDram = false;
+    serve::BatchReport rep = serve::serveBatch(artifact, requests, opts);
+    const double ms = msSince(start);
+    ok &= rep.failed == 0;
+    return ms;
+}
 
+void
+printJson(const std::string &fixture, const char *mode, double batchMs,
+          double overhead)
+{
+    std::printf("{\"bench\":\"serve_throughput\",\"fixture\":\"%s\","
+                "\"mode\":\"%s\",\"requests\":%d,\"workers\":1,"
+                "\"scale\":%d,\"batch_ms\":%.3f,\"req_per_sec\":%.1f,"
+                "\"overhead\":%.4f}\n",
+                fixture.c_str(), mode, kRequests, kScale, batchMs,
+                kRequests / (batchMs / 1000.0), overhead);
+}
+
+/** Correctness, hit rate and the serving-overhead gate for one
+ * fixture. */
+bool
+runOverheadGate(const apps::App &app)
+{
+    bool ok = true;
+    const char *name = app.name.c_str();
+
+    // One miss, then all hits.
+    ArtifactCache::global().clear();
+    std::shared_ptr<const CompiledArtifact> artifact;
+    for (int i = 0; i < kRequests; ++i)
+        artifact = ArtifactCache::global().get(app.source);
+    const auto cache = ArtifactCache::global().stats();
+    const double hit_rate = static_cast<double>(cache.hits) /
+        static_cast<double>(cache.hits + cache.misses);
+    const double expected_hits =
+        static_cast<double>(kRequests - 1) / kRequests;
+    if (hit_rate < expected_hits - 1e-9) {
+        std::printf("  FAIL(%s): cache hit rate %.4f below the "
+                    "one-miss-then-hits %.4f\n",
+                    name, hit_rate, expected_hits);
+        ok = false;
+    }
+
+    // Correctness through the multi-worker serving path.
     std::vector<serve::Request> requests(kRequests);
     generateInputs(requests, app);
     serve::ServeOptions opts;
     opts.workers = kWorkers;
     serve::BatchReport rep = serve::serveBatch(artifact, requests, opts);
-
-    out.wallMs = std::chrono::duration<double, std::milli>(Clock::now() -
-                                                           start)
-                     .count();
-    out.reqPerSec = kRequests / (out.wallMs / 1000.0);
-    out.p50Ms = rep.p50Ms;
-    out.p99Ms = rep.p99Ms;
-    out.failed = rep.failed;
-    for (const auto &res : rep.results) {
-        if (!res.ok) {
-            out.firstError = res.error;
-            break;
-        }
+    if (rep.failed || rep.results.empty() || !rep.results[0].dram ||
+        !app.verify(*rep.results[0].dram, kScale).empty()) {
+        std::printf("  FAIL(%s): served batch failed=%zu or first "
+                    "request did not verify\n",
+                    name, rep.failed);
+        ok = false;
     }
-    auto cache = ArtifactCache::global().stats();
-    out.cacheHitRate =
-        cache.hits + cache.misses == 0
-            ? 0.0
-            : static_cast<double>(cache.hits) /
-                  static_cast<double>(cache.hits + cache.misses);
-    out.verified = false;
-    if (rep.failed == 0 && !rep.results.empty() && rep.results[0].dram)
-        out.verified = app.verify(*rep.results[0].dram, kScale).empty();
-    return out;
+
+    auto ctx = artifact->makeContext();
+    std::string bare_error;
+    bool served = true;
+    bareBatchMs(app, *artifact, *ctx, &bare_error); // warm-up pair
+    servedBatchMs(app, served);
+    if (!bare_error.empty()) {
+        std::printf("  FAIL(%s): bare run did not verify: %s\n", name,
+                    bare_error.c_str());
+        ok = false;
+    }
+
+    std::vector<double> ratios, bare_ms, served_ms;
+    for (int pair = 0; pair < kOverheadPairs; ++pair) {
+        double b = 0, s = 0;
+        if (pair % 2 == 0) {
+            b = bareBatchMs(app, *artifact, *ctx, nullptr);
+            s = servedBatchMs(app, served);
+        } else {
+            s = servedBatchMs(app, served);
+            b = bareBatchMs(app, *artifact, *ctx, nullptr);
+        }
+        bare_ms.push_back(b);
+        served_ms.push_back(s);
+        ratios.push_back(s / b);
+    }
+    const double overhead = percentile(ratios, 50.0);
+    const double bare_med = percentile(bare_ms, 50.0);
+    const double served_med = percentile(served_ms, 50.0);
+    std::printf("  %-10s bare %7.2f ms  served %7.2f ms per batch "
+                "(medians)  overhead %.3fx  hit rate %.3f\n",
+                name, bare_med, served_med, overhead, hit_rate);
+    printJson(app.name, "bare", bare_med, 1.0);
+    printJson(app.name, "served", served_med, overhead);
+    if (!served) {
+        std::printf("  FAIL(%s): a served request failed\n", name);
+        ok = false;
+    }
+    if (overhead > kMaxOverhead) {
+        std::printf("  FAIL(%s): serving costs %.3fx a bare run, above "
+                    "the %.2fx bar\n",
+                    name, overhead, kMaxOverhead);
+        ok = false;
+    }
+    return ok;
 }
 
 /** Wall time of one serveBatch of kScalingRequests over @p artifact
@@ -268,90 +299,18 @@ runScalingGate()
     return ok;
 }
 
-void
-printJson(const std::string &fixture, const char *mode,
-          const ModeResult &r, double speedup)
-{
-    std::printf("{\"bench\":\"serve_throughput\",\"fixture\":\"%s\","
-                "\"mode\":\"%s\",\"requests\":%d,\"workers\":%d,"
-                "\"scale\":%d,\"wall_ms\":%.2f,\"req_per_sec\":%.1f,"
-                "\"p50_ms\":%.3f,\"p99_ms\":%.3f,"
-                "\"cache_hit_rate\":%.4f,\"speedup\":%.2f}\n",
-                fixture.c_str(), mode, kRequests, kWorkers, kScale,
-                r.wallMs, r.reqPerSec, r.p50Ms, r.p99Ms, r.cacheHitRate,
-                speedup);
-}
-
 } // namespace
 
 int
 main()
 {
-    const std::vector<std::string> fixtures = {"murmur3", "isipv4"};
+    std::printf("serve_throughput: cache lookup + serveBatch vs bare "
+                "ExecutionContext::run, %d requests, 1 worker, scale %d, "
+                "median of %d interleaved pairs\n",
+                kRequests, kScale, kOverheadPairs);
     bool ok = true;
-    double naive_total_ms = 0;
-    double cached_total_ms = 0;
-
-    std::printf("serve_throughput: naive compile-per-request vs cached "
-                "artifact + pooled contexts, %d requests, %d workers, "
-                "scale %d\n",
-                kRequests, kWorkers, kScale);
-
-    for (const auto &app : apps::allApps()) {
-        bool selected = false;
-        for (const auto &f : fixtures)
-            selected |= app.name == f;
-        if (!selected)
-            continue;
-
-        ModeResult naive = runNaive(app);
-        ModeResult cached = runCached(app);
-        naive_total_ms += naive.wallMs;
-        cached_total_ms += cached.wallMs;
-        const double speedup =
-            naive.wallMs > 0 ? naive.wallMs / cached.wallMs : 0.0;
-
-        std::printf("  %-10s naive %8.1f req/s  cached %8.1f req/s  "
-                    "(%.1fx, hit rate %.3f)\n",
-                    app.name.c_str(), naive.reqPerSec, cached.reqPerSec,
-                    speedup, cached.cacheHitRate);
-        printJson(app.name, "naive", naive, 1.0);
-        printJson(app.name, "cached", cached, speedup);
-
-        if (naive.failed || !naive.verified) {
-            std::printf("  FAIL(%s): naive mode failed=%zu (%s)\n",
-                        app.name.c_str(), naive.failed,
-                        naive.firstError.c_str());
-            ok = false;
-        }
-        if (cached.failed || !cached.verified) {
-            std::printf("  FAIL(%s): cached mode failed=%zu (%s)\n",
-                        app.name.c_str(), cached.failed,
-                        cached.firstError.c_str());
-            ok = false;
-        }
-        const double expected_hits =
-            static_cast<double>(kRequests - 1) / kRequests;
-        if (cached.cacheHitRate < expected_hits - 1e-9) {
-            std::printf("  FAIL(%s): cache hit rate %.4f below the "
-                        "one-miss-then-hits %.4f\n",
-                        app.name.c_str(), cached.cacheHitRate,
-                        expected_hits);
-            ok = false;
-        }
-    }
-
-    const double speedup = naive_total_ms / cached_total_ms;
-    std::printf("  aggregate: naive %.1f ms, cached %.1f ms — %.1fx "
-                "(>= 5x required)\n",
-                naive_total_ms, cached_total_ms, speedup);
-    if (speedup < 5.0) {
-        std::printf("  FAIL(throughput): %.1fx below the 5x "
-                    "cached-serving bar\n",
-                    speedup);
-        ok = false;
-    }
-
+    for (const char *name : {"murmur3", "isipv4"})
+        ok &= runOverheadGate(apps::findApp(name));
     ok &= runScalingGate();
     return ok ? 0 : 1;
 }

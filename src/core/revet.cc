@@ -121,7 +121,13 @@ CompiledArtifact::build(const std::string &source,
     ro.toggles = opts.graph;
     out->resources_ =
         graph::analyzeResources(out->dfg_, opts.graphOpt.machine, ro);
-    out->analysis_ = graph::analyzeGraph(out->dfg_, opts.graphOpt.machine);
+    // The optimizer usually ends holding the value-analysis fixpoint
+    // of this exact graph version; reuse it rather than recompute it.
+    // The artifact does not keep it.
+    const auto facts = std::move(out->opt_report_.facts);
+    out->analysis_ = facts
+        ? graph::analyzeGraph(out->dfg_, opts.graphOpt.machine, *facts)
+        : graph::analyzeGraph(out->dfg_, opts.graphOpt.machine);
     return out;
 }
 

@@ -10,7 +10,7 @@
  * requests through W worker threads and reports per-request latency
  * split into queue wait and execution time plus batch-level
  * percentiles, so bench/serve_throughput.cc can hold the serving path
- * to its ≥5x win over naive compile-per-request.
+ * to within 1.25x of a bare ExecutionContext::run.
  *
  * Each request runs on one serving worker thread under the worklist
  * policy; concurrency exists only across requests, never inside one.

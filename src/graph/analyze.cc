@@ -7,6 +7,8 @@
 #include "graph/analyze.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -87,6 +89,12 @@ struct Rate
 
     bool isConst() const { return terms.empty(); }
     bool isZero() const { return c == 0 && terms.empty(); }
+
+    bool
+    operator==(const Rate &o) const
+    {
+        return c == o.c && terms == o.terms;
+    }
 };
 
 Rate
@@ -167,13 +175,39 @@ counterTrips(const Node &n, const AbsintReport &vals)
     return lo > hi ? (lo - hi - step - 1) / -step : 0;
 }
 
-/** Balance-equation solver over one graph's links. */
+/** Conflict reasons. `reported` keys on the pointer, so each reason is
+ * one object shared by every site that uses it. */
+const char *const kSourceSeed = "source seed";
+const char *const kBundleLanes = "bundle lanes";
+const char *const kCounterTrips = "counter trip count";
+const char *const kMergeSum = "merge conservation";
+
+/**
+ * Balance-equation solver over one graph's links, event-driven.
+ *
+ * Every link lists the constraints it appears in (`users`). A
+ * constraint is queued when one of its links goes from unknown to
+ * known, and only then; when the queue drains, bindUnknown() gives the
+ * lowest-numbered unknown link a fresh symbol and queues its users.
+ * Each link becomes known exactly once, so a solve queues at most one
+ * check per (link, constraint) incidence and always terminates.
+ *
+ * The queue replays sweep order: a constraint numbered above the one
+ * being checked runs in the current round, one at or below it in the
+ * next, and a round never revisits a constraint that no new link
+ * touched. A check that held stays true after later bindings (normalize
+ * substitutes the same way on both sides), so skipping those revisits
+ * changes nothing, and the set of known links at quiescence is the same
+ * closure in any order — bindUnknown() picks the same links in the same
+ * order and gives the same symbol names as a full re-sweep would.
+ */
 struct RateSolver
 {
-    /** Links that must carry equal rates (one node's bundle law). */
+    /** Links classLinks[begin, end) must carry equal rates (one node's
+     * bundle law). */
     struct EqCls
     {
-        std::vector<int> links;
+        int begin, end;
         int node;
     };
     /** rate[out] = rate[a] + rate[b] (a merge's conservation law). */
@@ -192,25 +226,65 @@ struct RateSolver
 
     const Dfg &g;
     const AbsintReport &vals; ///< shared value-analysis facts
-    std::vector<std::optional<Rate>> linkRate;
+    /** Raw rates by id. Links refer to them by id, so propagating a
+     * rate through a bundle copies an int. */
+    std::vector<Rate> rates;
+    std::vector<int> linkRate; ///< per link: rate id, -1 while unknown
     std::vector<std::string> symNames;
     std::vector<std::optional<Rate>> bindings;
+    /** Constraints, numbered classes first, then linears, then sums
+     * (the order a sweep would check them in). */
     std::vector<EqCls> classes;
-    std::vector<SumCon> sums;
+    std::vector<int> classLinks;
     std::vector<LinCon> linears;
+    std::vector<SumCon> sums;
+    /** Constraint ids per link: users[userStart[l], userStart[l + 1]). */
+    std::vector<int> userStart, users;
+    /** Queued constraint ids: this round's as a min-heap (a sweep's
+     * order), the next round's unordered; flags dedup each round. */
+    std::vector<int> thisRound, nextRound;
+    std::vector<char> inThisRound, inNextRound;
+    int checking = -1; ///< constraint being checked (-1: none)
+    size_t firstUnknown = 0; ///< every link below it is known
     std::vector<Diagnostic> diags;
-    std::set<std::pair<int, std::string>> reported;
+    std::set<std::pair<int, const char *>> reported;
     bool consistent = true;
 
     RateSolver(const Dfg &dfg, const AbsintReport &vals)
-        : g(dfg), vals(vals), linkRate(dfg.links.size())
+        : g(dfg), vals(vals), linkRate(dfg.links.size(), -1)
     {
     }
 
-    int
-    newSym(const std::string &name)
+    bool
+    valid(int link) const
     {
-        symNames.push_back(name);
+        return link >= 0 && link < static_cast<int>(linkRate.size());
+    }
+
+    bool
+    known(int link) const
+    {
+        return valid(link) && linkRate[link] >= 0;
+    }
+
+    /** Raw rate of @p link, or null while unknown. */
+    const Rate *
+    rateOf(int link) const
+    {
+        return known(link) ? &rates[linkRate[link]] : nullptr;
+    }
+
+    int
+    intern(Rate r)
+    {
+        rates.push_back(std::move(r));
+        return static_cast<int>(rates.size()) - 1;
+    }
+
+    int
+    newSym(std::string name)
+    {
+        symNames.push_back(std::move(name));
         bindings.emplace_back();
         return static_cast<int>(symNames.size()) - 1;
     }
@@ -260,8 +334,8 @@ struct RateSolver
     }
 
     void
-    conflict(int node, const std::string &what, const Rate &a,
-             const Rate &b, const std::vector<int> &links)
+    conflict(int node, const char *what, const Rate &a, const Rate &b,
+             int link)
     {
         consistent = false;
         if (!reported.insert({node, what}).second)
@@ -276,20 +350,19 @@ struct RateSolver
             what + " require rate " + render(a) + " but found " +
             render(b);
         d.nodes = {node};
-        d.links = links;
+        d.links = {link};
         diags.push_back(std::move(d));
     }
 
     /** Equate two rates, binding a free unit-coefficient symbol when
-     * possible; reports a conflict otherwise. Returns true if a new
-     * binding was made. */
-    bool
-    unify(const Rate &a, const Rate &b, int node, const std::string &what,
-          const std::vector<int> &links)
+     * possible; reports a conflict otherwise. */
+    void
+    unify(const Rate &a, const Rate &b, int node, const char *what,
+          int link)
     {
         Rate d = normalize(rateSub(a, b));
         if (d.isZero())
-            return false;
+            return;
         for (const auto &t : d.terms) {
             if (t.second != 1 && t.second != -1)
                 continue;
@@ -303,45 +376,90 @@ struct RateSolver
                 }
             }
             bindings[t.first] = rateScale(rest, t.second == 1 ? -1 : 1);
-            return true;
-        }
-        conflict(node, what, normalize(a), normalize(b), links);
-        return false;
-    }
-
-    bool
-    setLink(int link, const Rate &r, int node, const std::string &what)
-    {
-        if (link < 0 || link >= static_cast<int>(linkRate.size()))
-            return false;
-        if (!linkRate[link]) {
-            linkRate[link] = r;
-            return true;
-        }
-        return unify(*linkRate[link], r, node, what, {link});
-    }
-
-    void
-    addClass(std::vector<int> links, int node)
-    {
-        if (links.size() < 2)
             return;
-        classes.push_back(EqCls{std::move(links), node});
+        }
+        conflict(node, what, normalize(a), normalize(b), link);
     }
 
+    /** Queue constraint @p c: in this round if a sweep would still
+     * reach it, otherwise in the next. */
     void
+    enqueue(int c)
+    {
+        if (c > checking) {
+            if (!inThisRound[c]) {
+                inThisRound[c] = 1;
+                thisRound.push_back(c);
+                std::push_heap(thisRound.begin(), thisRound.end(),
+                               std::greater<>());
+            }
+        } else if (!inNextRound[c]) {
+            inNextRound[c] = 1;
+            nextRound.push_back(c);
+        }
+    }
+
+    /** Make unknown link @p link known as rate @p r; queue its users. */
+    void
+    learn(int link, int r)
+    {
+        linkRate[link] = r;
+        for (int u = userStart[link]; u < userStart[link + 1]; ++u)
+            enqueue(users[u]);
+    }
+
+    /** Give @p link rate @p r, or equate it with the rate it has
+     * (equal raw rates trivially agree and skip the unify). */
+    void
+    setLink(int link, int r, int node, const char *what)
+    {
+        if (!valid(link))
+            return;
+        const int have = linkRate[link];
+        if (have < 0)
+            learn(link, r);
+        else if (have != r && !(rates[have] == rates[r]))
+            unify(rates[have], rates[r], node, what, link);
+    }
+
+    /** Append @p links[from, to) to the equality class being built. */
+    void
+    lanes(const std::vector<int> &links, size_t from = 0,
+          size_t to = SIZE_MAX)
+    {
+        classLinks.insert(classLinks.end(), links.begin() + from,
+                          links.begin() + std::min(to, links.size()));
+    }
+
+    /** Close the class being built as @p node's (dropped when it has
+     * fewer than two links: nothing to equate). */
+    void
+    closeClass(int node)
+    {
+        const int begin = classes.empty() ? 0 : classes.back().end;
+        const int end = static_cast<int>(classLinks.size());
+        if (end - begin >= 2)
+            classes.push_back(EqCls{begin, end, node});
+        else
+            classLinks.resize(begin);
+    }
+
+    /** Collect every node's balance law; returns the source seeds
+     * (link, node) in node order. */
+    std::vector<std::pair<int, int>>
     buildConstraints()
     {
+        std::vector<std::pair<int, int>> seeds;
         for (const auto &n : g.nodes) {
             switch (n.kind) {
-              case NodeKind::block: {
-                std::vector<int> all = n.ins;
-                all.insert(all.end(), n.outs.begin(), n.outs.end());
-                addClass(std::move(all), n.id);
+              case NodeKind::block:
+                lanes(n.ins);
+                lanes(n.outs);
+                closeClass(n.id);
                 break;
-              }
               case NodeKind::counter: {
-                addClass(n.ins, n.id);
+                lanes(n.ins);
+                closeClass(n.id);
                 auto trips = counterTrips(n, vals);
                 if (trips && n.ins.size() == 3 && n.outs.size() == 1) {
                     linears.push_back(
@@ -351,123 +469,164 @@ struct RateSolver
               }
               case NodeKind::broadcast:
                 // Output repeats the shallow value per deep element.
-                if (n.ins.size() == 2 && n.outs.size() == 1)
-                    addClass({n.ins[0], n.outs[0]}, n.id);
+                if (n.ins.size() == 2 && n.outs.size() == 1) {
+                    lanes(n.ins, 0, 1);
+                    lanes(n.outs);
+                    closeClass(n.id);
+                }
                 break;
               case NodeKind::reduce:
                 break; // one output per group: a fresh unknown
               case NodeKind::flatten:
-                if (n.ins.size() == 1 && n.outs.size() == 1)
-                    addClass({n.ins[0], n.outs[0]}, n.id);
+              case NodeKind::park:
+              case NodeKind::ordinal:
+                if (n.ins.size() == 1 && n.outs.size() == 1) {
+                    lanes(n.ins);
+                    lanes(n.outs);
+                    closeClass(n.id);
+                }
                 break;
               case NodeKind::filter:
-                addClass(n.ins, n.id);  // pred + data bundle
-                addClass(n.outs, n.id); // kept lanes agree
+                lanes(n.ins); // pred + data bundle
+                closeClass(n.id);
+                lanes(n.outs); // kept lanes agree
+                closeClass(n.id);
                 break;
               case NodeKind::fwdMerge:
               case NodeKind::fbMerge: {
                 size_t half = n.outs.size();
                 if (half == 0 || n.ins.size() != 2 * half)
                     break;
-                std::vector<int> a(n.ins.begin(),
-                                   n.ins.begin() + half);
-                std::vector<int> b(n.ins.begin() + half, n.ins.end());
-                addClass(std::move(a), n.id);
-                addClass(std::move(b), n.id);
-                addClass(n.outs, n.id);
+                lanes(n.ins, 0, half);
+                closeClass(n.id);
+                lanes(n.ins, half);
+                closeClass(n.id);
+                lanes(n.outs);
+                closeClass(n.id);
                 sums.push_back(SumCon{n.outs[0], n.ins[0],
                                       n.ins[half], n.id});
                 break;
               }
-              case NodeKind::fanout: {
+              case NodeKind::fanout:
                 if (n.ins.size() != 1)
                     break;
-                std::vector<int> all = {n.ins[0]};
-                all.insert(all.end(), n.outs.begin(), n.outs.end());
-                addClass(std::move(all), n.id);
+                lanes(n.ins);
+                lanes(n.outs);
+                closeClass(n.id);
                 break;
-              }
               case NodeKind::source:
                 // The executor seeds every source with exactly one
                 // data token (one main() argument or the start token).
                 if (n.outs.size() == 1)
-                    setLink(n.outs[0], rateConst(1), n.id, "source seed");
+                    seeds.emplace_back(n.outs[0], n.id);
                 break;
               case NodeKind::sink:
-                break;
-              case NodeKind::park:
-                if (n.ins.size() == 1 && n.outs.size() == 1)
-                    addClass({n.ins[0], n.outs[0]}, n.id);
                 break;
               case NodeKind::restore:
                 // A keyed restore emits one value per ordinal key; a
                 // FIFO restore forwards the parked stream.
-                if (n.keyed && n.ins.size() == 2 && n.outs.size() == 1)
-                    addClass({n.ins[1], n.outs[0]}, n.id);
-                else if (!n.keyed && n.ins.size() == 1 &&
-                         n.outs.size() == 1)
-                    addClass({n.ins[0], n.outs[0]}, n.id);
-                break;
-              case NodeKind::ordinal:
-                if (n.ins.size() == 1 && n.outs.size() == 1)
-                    addClass({n.ins[0], n.outs[0]}, n.id);
+                if (n.keyed && n.ins.size() == 2 && n.outs.size() == 1) {
+                    lanes(n.ins, 1);
+                    lanes(n.outs);
+                    closeClass(n.id);
+                } else if (!n.keyed && n.ins.size() == 1 &&
+                           n.outs.size() == 1) {
+                    lanes(n.ins);
+                    lanes(n.outs);
+                    closeClass(n.id);
+                }
                 break;
             }
+        }
+
+        // Index users per link (counting sort by link).
+        userStart.assign(linkRate.size() + 1, 0);
+        forEachUse([&](int, int link) { ++userStart[link + 1]; });
+        for (size_t l = 0; l < linkRate.size(); ++l)
+            userStart[l + 1] += userStart[l];
+        users.resize(userStart.back());
+        std::vector<int> fill(userStart.begin(), userStart.end() - 1);
+        forEachUse([&](int c, int link) { users[fill[link]++] = c; });
+        const size_t n_constraints =
+            classes.size() + linears.size() + sums.size();
+        inThisRound.assign(n_constraints, 0);
+        inNextRound.assign(n_constraints, 0);
+        return seeds;
+    }
+
+    /** Call @p fn(constraint, link) for every valid link of every
+     * constraint, in constraint order. */
+    template <typename Fn>
+    void
+    forEachUse(Fn fn) const
+    {
+        int id = 0;
+        auto use = [&](int link) {
+            if (valid(link))
+                fn(id, link);
+        };
+        for (const auto &cls : classes) {
+            for (int i = cls.begin; i < cls.end; ++i)
+                use(classLinks[i]);
+            ++id;
+        }
+        for (const auto &lin : linears) {
+            use(lin.in);
+            use(lin.out);
+            ++id;
+        }
+        for (const auto &sum : sums) {
+            use(sum.out);
+            use(sum.a);
+            use(sum.b);
+            ++id;
         }
     }
 
-    bool
-    sweep()
+    /** Apply constraint @p c to the links known so far. */
+    void
+    check(int c)
     {
-        bool changed = false;
-        for (const auto &cls : classes) {
-            const Rate *known = nullptr;
-            for (int l : cls.links) {
-                if (l >= 0 && l < static_cast<int>(linkRate.size()) &&
-                    linkRate[l]) {
-                    known = &*linkRate[l];
-                    break;
-                }
-            }
-            if (!known)
-                continue;
-            Rate want = *known; // copy: setLink may grow linkRate users
-            for (int l : cls.links)
-                changed |= setLink(l, want, cls.node, "bundle lanes");
-        }
-        for (const auto &lin : linears) {
-            if (lin.in < 0 || !linkRate[lin.in])
-                continue;
-            changed |= setLink(lin.out,
-                               rateScale(normalize(*linkRate[lin.in]),
-                                         lin.k),
-                               lin.node, "counter trip count");
-        }
-        for (const auto &sum : sums) {
-            const bool ko = static_cast<bool>(linkRate[sum.out]);
-            const bool ka = static_cast<bool>(linkRate[sum.a]);
-            const bool kb = static_cast<bool>(linkRate[sum.b]);
-            if (ka && kb) {
-                changed |= setLink(
-                    sum.out,
-                    rateAdd(normalize(*linkRate[sum.a]),
-                            normalize(*linkRate[sum.b])),
-                    sum.node, "merge conservation");
-            } else if (ko && ka) {
-                changed |= setLink(
-                    sum.b,
-                    rateSub(normalize(*linkRate[sum.out]),
-                            normalize(*linkRate[sum.a])),
-                    sum.node, "merge conservation");
-            } else if (ko && kb) {
-                changed |= setLink(
-                    sum.a,
-                    rateSub(normalize(*linkRate[sum.out]),
-                            normalize(*linkRate[sum.b])),
-                    sum.node, "merge conservation");
+        const int n_classes = static_cast<int>(classes.size());
+        const int n_linears = static_cast<int>(linears.size());
+        if (c < n_classes) {
+            const EqCls &cls = classes[c];
+            int want = -1;
+            for (int i = cls.begin; i < cls.end && want < 0; ++i)
+                if (known(classLinks[i]))
+                    want = linkRate[classLinks[i]];
+            if (want < 0)
+                return;
+            for (int i = cls.begin; i < cls.end; ++i)
+                setLink(classLinks[i], want, cls.node, kBundleLanes);
+        } else if (c < n_classes + n_linears) {
+            const LinCon &lin = linears[c - n_classes];
+            if (!known(lin.in))
+                return;
+            setLink(lin.out,
+                    intern(rateScale(normalize(*rateOf(lin.in)), lin.k)),
+                    lin.node, kCounterTrips);
+        } else {
+            // intern() may move `rates`, so each pointer below is read
+            // only while building intern()'s argument.
+            const SumCon &sum = sums[c - n_classes - n_linears];
+            const Rate *ro = rateOf(sum.out);
+            const Rate *ra = rateOf(sum.a);
+            const Rate *rb = rateOf(sum.b);
+            if (ra && rb) {
+                setLink(sum.out,
+                        intern(rateAdd(normalize(*ra), normalize(*rb))),
+                        sum.node, kMergeSum);
+            } else if (ro && ra) {
+                setLink(sum.b,
+                        intern(rateSub(normalize(*ro), normalize(*ra))),
+                        sum.node, kMergeSum);
+            } else if (ro && rb) {
+                setLink(sum.a,
+                        intern(rateSub(normalize(*ro), normalize(*rb))),
+                        sum.node, kMergeSum);
             }
         }
-        return changed;
     }
 
     /** Introduce a fresh symbol for the first still-unknown link, named
@@ -475,41 +634,52 @@ struct RateSolver
     bool
     bindUnknown()
     {
-        for (size_t l = 0; l < linkRate.size(); ++l) {
-            if (linkRate[l])
-                continue;
-            int src = g.links[l].src;
-            char prefix = 'x';
-            int tag = static_cast<int>(l);
-            if (src >= 0 && src < static_cast<int>(g.nodes.size())) {
-                switch (g.nodes[src].kind) {
-                  case NodeKind::counter: prefix = 'c'; tag = src; break;
-                  case NodeKind::filter: prefix = 'f'; tag = src; break;
-                  case NodeKind::reduce: prefix = 'r'; tag = src; break;
-                  case NodeKind::fbMerge:
-                  case NodeKind::fwdMerge: prefix = 'm'; tag = src; break;
-                  default: break;
-                }
+        while (firstUnknown < linkRate.size() && linkRate[firstUnknown] >= 0)
+            ++firstUnknown;
+        if (firstUnknown == linkRate.size())
+            return false;
+        const int l = static_cast<int>(firstUnknown);
+        int src = g.links[l].src;
+        char prefix = 'x';
+        int tag = l;
+        if (src >= 0 && src < static_cast<int>(g.nodes.size())) {
+            switch (g.nodes[src].kind) {
+              case NodeKind::counter: prefix = 'c'; tag = src; break;
+              case NodeKind::filter: prefix = 'f'; tag = src; break;
+              case NodeKind::reduce: prefix = 'r'; tag = src; break;
+              case NodeKind::fbMerge:
+              case NodeKind::fwdMerge: prefix = 'm'; tag = src; break;
+              default: break;
             }
-            linkRate[l] = rateSym(
-                newSym(std::string(1, prefix) + std::to_string(tag)));
-            return true;
         }
-        return false;
+        learn(l, intern(rateSym(newSym(prefix + std::to_string(tag)))));
+        return true;
     }
 
     void
     solve()
     {
-        buildConstraints();
-        const int cap =
-            static_cast<int>(g.links.size()) * 4 + 64;
-        for (int iter = 0; iter < cap; ++iter) {
-            if (sweep())
-                continue;
-            if (!bindUnknown())
-                break;
-        }
+        const auto seeds = buildConstraints();
+        const int one = intern(rateConst(1));
+        for (const auto &[link, node] : seeds)
+            setLink(link, one, node, kSourceSeed);
+        do {
+            while (!thisRound.empty() || !nextRound.empty()) {
+                if (thisRound.empty()) {
+                    thisRound.swap(nextRound);
+                    inThisRound.swap(inNextRound);
+                    std::make_heap(thisRound.begin(), thisRound.end(),
+                                   std::greater<>());
+                }
+                std::pop_heap(thisRound.begin(), thisRound.end(),
+                              std::greater<>());
+                checking = thisRound.back();
+                thisRound.pop_back();
+                inThisRound[checking] = 0;
+                check(checking);
+            }
+            checking = -1;
+        } while (bindUnknown());
     }
 };
 
@@ -798,11 +968,12 @@ permissionsFor(const std::string &passName)
 
 std::vector<Diagnostic>
 validateRewrite(const std::string &passName, const TokenAccount &before,
-                const Dfg &after)
+                const Dfg &after, const AbsintReport &vals,
+                TokenAccount *account)
 {
     std::vector<Diagnostic> out;
     const PassPermissions perm = permissionsFor(passName);
-    const TokenAccount now = accountTokens(after);
+    TokenAccount now = accountTokens(after);
 
     auto emit = [&](const std::string &code, const std::string &msg,
                     std::vector<int> nodes) {
@@ -913,11 +1084,15 @@ validateRewrite(const std::string &passName, const TokenAccount &before,
     // Structural discipline of the rewritten graph.
     structuralChecks(after, out);
 
-    // Token-rate balance must still hold.
-    RateReport rates = analyzeRates(after);
-    for (auto &d : rates.diagnostics)
+    // Token-rate balance must still hold. Only the verdict matters
+    // here, so the solved link rates are never rendered.
+    RateSolver solver(after, vals);
+    solver.solve();
+    for (auto &d : solver.diags)
         out.push_back(std::move(d));
 
+    if (account)
+        *account = std::move(now);
     return out;
 }
 
@@ -955,21 +1130,32 @@ analyzeRates(const Dfg &dfg)
     return analyzeRates(dfg, analyzeValues(dfg));
 }
 
+namespace
+{
+
+/** The rates @p solver found, rendered per link. */
+RateReport
+renderRates(const RateSolver &solver)
+{
+    RateReport out;
+    out.linkRates.reserve(solver.linkRate.size());
+    for (size_t l = 0; l < solver.linkRate.size(); ++l) {
+        const Rate *r = solver.rateOf(static_cast<int>(l));
+        out.linkRates.push_back(r ? solver.render(*r) : std::string("?"));
+    }
+    out.diagnostics = solver.diags;
+    out.consistent = solver.consistent;
+    return out;
+}
+
+} // namespace
+
 RateReport
 analyzeRates(const Dfg &dfg, const AbsintReport &vals)
 {
     RateSolver solver(dfg, vals);
     solver.solve();
-    RateReport out;
-    out.linkRates.reserve(dfg.links.size());
-    for (size_t l = 0; l < dfg.links.size(); ++l) {
-        out.linkRates.push_back(solver.linkRate[l]
-                                    ? solver.render(*solver.linkRate[l])
-                                    : std::string("?"));
-    }
-    out.diagnostics = std::move(solver.diags);
-    out.consistent = solver.consistent;
-    return out;
+    return renderRates(solver);
 }
 
 // ---------------------------------------------------------------------
@@ -986,34 +1172,28 @@ BufferCaps::fromMachine(const sim::MachineConfig &machine)
     return caps;
 }
 
-DeadlockReport
-lintDeadlock(const Dfg &dfg, const BufferCaps &caps)
+namespace
 {
-    return lintDeadlock(dfg, caps, analyzeValues(dfg));
-}
 
+/** The deadlock lint over the rates @p solver found for @p dfg. */
 DeadlockReport
-lintDeadlock(const Dfg &dfg, const BufferCaps &caps,
-             const AbsintReport &vals)
+lintWithRates(const Dfg &dfg, const BufferCaps &caps,
+              const RateSolver &solver)
 {
     DeadlockReport rep;
-    RateSolver solver(dfg, vals);
-    solver.solve();
 
     auto constRate = [&](int link) -> std::optional<long long> {
-        if (link < 0 || link >= static_cast<int>(solver.linkRate.size()) ||
-            !solver.linkRate[link])
+        const Rate *raw = solver.rateOf(link);
+        if (!raw)
             return std::nullopt;
-        Rate r = solver.normalize(*solver.linkRate[link]);
+        Rate r = solver.normalize(*raw);
         if (!r.isConst())
             return std::nullopt;
         return r.c;
     };
     auto renderRate = [&](int link) {
-        if (link < 0 || link >= static_cast<int>(solver.linkRate.size()) ||
-            !solver.linkRate[link])
-            return std::string("?");
-        return solver.render(*solver.linkRate[link]);
+        const Rate *raw = solver.rateOf(link);
+        return raw ? solver.render(*raw) : std::string("?");
     };
 
     // Minimal safe SRAM park sizes: a park must hold every value that
@@ -1159,6 +1339,23 @@ lintDeadlock(const Dfg &dfg, const BufferCaps &caps,
     return rep;
 }
 
+} // namespace
+
+DeadlockReport
+lintDeadlock(const Dfg &dfg, const BufferCaps &caps)
+{
+    return lintDeadlock(dfg, caps, analyzeValues(dfg));
+}
+
+DeadlockReport
+lintDeadlock(const Dfg &dfg, const BufferCaps &caps,
+             const AbsintReport &vals)
+{
+    RateSolver solver(dfg, vals);
+    solver.solve();
+    return lintWithRates(dfg, caps, solver);
+}
+
 // ---------------------------------------------------------------------
 // Combined driver
 // ---------------------------------------------------------------------
@@ -1199,13 +1396,22 @@ AnalyzeReport::summary() const
 AnalyzeReport
 analyzeGraph(const Dfg &dfg, const sim::MachineConfig &machine)
 {
+    return analyzeGraph(dfg, machine, analyzeValues(dfg));
+}
+
+AnalyzeReport
+analyzeGraph(const Dfg &dfg, const sim::MachineConfig &machine,
+             const AbsintReport &vals)
+{
     AnalyzeReport rep;
     // One abstract-interpretation fixpoint feeds rate analysis (counter
-    // trip counts), the deadlock lint, and the value-range lints.
-    const AbsintReport vals = analyzeValues(dfg);
-    rep.rates = analyzeRates(dfg, vals);
+    // trip counts), the deadlock lint, and the value-range lints; one
+    // rate solve feeds both the rate report and the deadlock lint.
+    RateSolver solver(dfg, vals);
+    solver.solve();
+    rep.rates = renderRates(solver);
     rep.deadlock =
-        lintDeadlock(dfg, BufferCaps::fromMachine(machine), vals);
+        lintWithRates(dfg, BufferCaps::fromMachine(machine), solver);
     for (const ValueFinding &f : vals.findings) {
         Diagnostic d;
         d.analysis = "absint";

@@ -24,7 +24,9 @@
  *    data-token rate (counters with constant bounds fold to exact
  *    multiples) and flagging nodes whose input bundles cannot agree —
  *    a rate-inconsistent graph livelocks or deadlocks at runtime, so
- *    the conflict is reported statically instead;
+ *    the conflict is reported statically instead. The solver is
+ *    event-driven: a constraint is re-checked only when one of its
+ *    links first gets a rate, never re-swept per unknown;
  *
  *  - finite-buffer deadlock lint: lintDeadlock() enumerates cycles of
  *    the channel graph and compares each cycle's token demand against
@@ -142,12 +144,18 @@ PassPermissions permissionsFor(const std::string &passName);
  * account against the rewritten @p after graph under @p passName's
  * permissions, run the structural checks (pairing, keyed-ordinal
  * coverage, bundle element widths, region boundaries), and re-run the
- * rate balance analysis. Returns every finding; the caller decides
- * whether errors reject the rewrite (runPasses throws).
+ * rate balance analysis over @p vals, the value-analysis facts
+ * (absint.hh) of @p after. When @p account is non-null it receives
+ * @p after's token account, so a pipeline can carry it forward as the
+ * next pass's pre-pass account. Returns every finding; the caller
+ * decides whether errors reject the rewrite (runPasses throws).
  */
+struct AbsintReport;
 std::vector<Diagnostic> validateRewrite(const std::string &passName,
                                         const TokenAccount &before,
-                                        const Dfg &after);
+                                        const Dfg &after,
+                                        const AbsintReport &vals,
+                                        TokenAccount *account = nullptr);
 
 /** Thrown by runPasses() when a validated pass application fails. */
 class ValidationError : public std::logic_error
@@ -189,7 +197,6 @@ RateReport analyzeRates(const Dfg &dfg);
 
 /** As above, reusing precomputed value-analysis facts (absint.hh) so
  * counter trip counts bind from the constancy lattice. */
-struct AbsintReport;
 RateReport analyzeRates(const Dfg &dfg, const AbsintReport &vals);
 
 // ---------------------------------------------------------------------
@@ -266,6 +273,12 @@ struct AnalyzeReport
  * abstract-interpretation fixpoint is computed once and shared. */
 AnalyzeReport analyzeGraph(const Dfg &dfg,
                            const sim::MachineConfig &machine = {});
+
+/** As above, over precomputed value-analysis facts of @p dfg (e.g. the
+ * optimizer's last fixpoint, GraphOptReport::facts). */
+AnalyzeReport analyzeGraph(const Dfg &dfg,
+                           const sim::MachineConfig &machine,
+                           const AbsintReport &vals);
 
 } // namespace graph
 } // namespace revet

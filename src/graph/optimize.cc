@@ -458,6 +458,61 @@ class CopyProp : public GraphPass
     }
 };
 
+// ---- value facts per graph version -----------------------------------
+// One abstract-interpretation fixpoint per graph version, shared by
+// every consumer inside runPasses(): the fact-driven passes below, the
+// validator's rate check, and (through GraphOptReport::facts) the
+// final analyzeGraph() in CompiledArtifact::build(). runPasses() bumps
+// the revision whenever a pass reports rewrites, so facts computed
+// before a rewrite are never served after it.
+
+class GraphFacts
+{
+  public:
+    /** The facts of @p g at the current revision, computed at most once
+     * per revision. */
+    const AbsintReport &
+    of(const Dfg &g)
+    {
+        if (!current()) {
+            vals_ = std::make_shared<const AbsintReport>(analyzeValues(g));
+            valsRevision_ = revision_;
+        }
+        return *vals_;
+    }
+
+    /** The graph changed: every earlier fact is stale. */
+    void rewritten() { ++revision_; }
+
+    /** The facts of the current revision, or null if not computed. */
+    std::shared_ptr<const AbsintReport>
+    current() const
+    {
+        return valsRevision_ == revision_ ? vals_ : nullptr;
+    }
+
+  private:
+    uint64_t revision_ = 0;
+    uint64_t valsRevision_ = 0;
+    std::shared_ptr<const AbsintReport> vals_;
+};
+
+/** A pass that reads value facts. Run on its own it computes them;
+ * runPasses() hands it the pipeline's shared GraphFacts instead. */
+class FactsPass : public GraphPass
+{
+  public:
+    int
+    run(Dfg &g, const GraphPassOptions &opts) final
+    {
+        GraphFacts facts;
+        return runWith(g, opts, facts);
+    }
+
+    virtual int runWith(Dfg &g, const GraphPassOptions &opts,
+                        GraphFacts &facts) = 0;
+};
+
 // ---- cross-block constant/copy propagation -----------------------------
 // Consumes the whole-graph value facts of graph/absint.hh: per-link
 // constancy, intervals, and bottom ("provably carries no data tokens,
@@ -466,15 +521,15 @@ class CopyProp : public GraphPass
 // by lane, or strip effects that provably never fire — so they hold
 // under any engine scheduling policy.
 
-class CrossBlockConstProp : public GraphPass
+class CrossBlockConstProp : public FactsPass
 {
   public:
     std::string name() const override { return "cross-block-const-prop"; }
 
     int
-    run(Dfg &g, const GraphPassOptions &) override
+    runWith(Dfg &g, const GraphPassOptions &, GraphFacts &facts) override
     {
-        const AbsintReport vals = analyzeValues(g);
+        const AbsintReport &vals = facts.of(g);
         Surgeon s(g);
         const std::vector<char> taint = effectTaintedLinks(g, vals);
         std::vector<int> orphans;
@@ -1815,13 +1870,13 @@ class ReplicateBufferize : public GraphPass
 
 // ---- sub-word packing across merges (Section V-B(d)) -------------------
 
-class SubwordPack : public GraphPass
+class SubwordPack : public FactsPass
 {
   public:
     std::string name() const override { return "subword-pack"; }
 
     int
-    run(Dfg &g, const GraphPassOptions &) override
+    runWith(Dfg &g, const GraphPassOptions &, GraphFacts &facts) override
     {
         int rewrites = 0;
         const size_t n_nodes = g.nodes.size();
@@ -1834,7 +1889,7 @@ class SubwordPack : public GraphPass
         // Value analysis widens type-based narrowness: an i32/u32 lane
         // whose interval provably fits a narrow canonical range packs
         // exactly like a type-narrow lane.
-        const AbsintReport vals = analyzeValues(g);
+        const AbsintReport &vals = facts.of(g);
         for (size_t i = 0; i < n_nodes; ++i) {
             if (g.nodes[i].kind != NodeKind::fwdMerge &&
                 g.nodes[i].kind != NodeKind::fbMerge) {
@@ -2188,25 +2243,35 @@ runPasses(Dfg &dfg, const std::vector<std::unique_ptr<GraphPass>> &passes,
     for (const auto &pass : passes)
         rep.rewrites.emplace_back(pass->name(), 0);
 
+    // A pass reporting no rewrites leaves the graph as it found it, so
+    // the post-graph account of the last validated pass is the
+    // pre-graph account of the next one that applies.
+    GraphFacts facts;
+    TokenAccount account;
+    if (opts.validate)
+        account = accountTokens(dfg);
     const int max_iters = std::max(1, opts.maxIterations);
     for (int iter = 0; iter < max_iters; ++iter) {
         int any = 0;
         for (size_t pi = 0; pi < passes.size(); ++pi) {
-            TokenAccount before;
-            if (opts.validate)
-                before = accountTokens(dfg);
-            int applied = passes[pi]->run(dfg, opts);
+            GraphPass &pass = *passes[pi];
+            auto *facts_pass = dynamic_cast<FactsPass *>(&pass);
+            int applied = facts_pass ? facts_pass->runWith(dfg, opts, facts)
+                                     : pass.run(dfg, opts);
             rep.rewrites[pi].second += applied;
             any += applied;
-            if (applied && opts.verifyBetweenPasses)
+            if (!applied)
+                continue;
+            facts.rewritten();
+            if (opts.verifyBetweenPasses)
                 dfg.verify();
-            if (applied && opts.validate) {
-                auto diags =
-                    validateRewrite(passes[pi]->name(), before, dfg);
-                if (hasErrors(diags)) {
-                    throw ValidationError(passes[pi]->name(),
-                                          std::move(diags));
-                }
+            if (opts.validate) {
+                TokenAccount now;
+                auto diags = validateRewrite(pass.name(), account, dfg,
+                                             facts.of(dfg), &now);
+                if (hasErrors(diags))
+                    throw ValidationError(pass.name(), std::move(diags));
+                account = std::move(now);
                 ++rep.validatedPasses;
             }
         }
@@ -2216,6 +2281,7 @@ runPasses(Dfg &dfg, const std::vector<std::unique_ptr<GraphPass>> &passes,
     }
     rep.nodesAfter = static_cast<int>(dfg.nodes.size());
     rep.linksAfter = static_cast<int>(dfg.links.size());
+    rep.facts = facts.current();
     return rep;
 }
 

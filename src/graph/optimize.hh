@@ -125,6 +125,8 @@ class GraphPass
     virtual int run(Dfg &dfg, const GraphPassOptions &opts) = 0;
 };
 
+struct AbsintReport;
+
 /** What the optimizer did, for stats/bench reporting. */
 struct GraphOptReport
 {
@@ -135,6 +137,10 @@ struct GraphOptReport
     int validatedPasses = 0;
     /** Per-pass rewrite totals, in pipeline order. */
     std::vector<std::pair<std::string, int>> rewrites;
+    /** Value-analysis facts (graph/absint.hh) of the graph exactly as
+     * runPasses() left it, when the pipeline already computed them;
+     * null otherwise. Stale once the graph is modified again. */
+    std::shared_ptr<const AbsintReport> facts;
 
     std::string summary() const;
 };

@@ -3,14 +3,18 @@
  * Static DFG analyzer validation (graph/analyze.hh).
  *
  * Rate balance: constant-bound counters fold to exact trip counts,
- * merges obey conservation, and a deliberately imbalanced bundle is
- * flagged with a node-naming diagnostic.
+ * merges obey conservation, a deliberately imbalanced bundle is
+ * flagged with a node-naming diagnostic, and every app's solved link
+ * rates (lowered and optimized graphs) match pinned golden hashes.
  *
  * Translation validation: the default pipeline certifies every pass
  * application on real programs, while deliberately broken rewrites —
  * a dropped memory effect, reordered program-entry sources, a
  * mispaired park, a widened bundle lane, an unsolicited park — are
- * each rejected by runPasses() with the expected diagnostic.
+ * each rejected by runPasses() with the expected diagnostic. The value
+ * facts runPasses() shares between passes, validator and analyzeGraph
+ * are never stale: a rewritten counter bound is judged on fresh facts,
+ * and the facts handed out with the report match a fresh fixpoint.
  *
  * Deadlock lint: the minimal safe park size computed statically for a
  * thread-reordering keyed park matches ExecStats::sramParkedPeak from
@@ -21,13 +25,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 
 #include "apps/apps.hh"
 #include "core/revet.hh"
+#include "graph/absint.hh"
 #include "graph/analyze.hh"
 #include "graph/exec.hh"
+#include "graph/lower.hh"
 #include "graph/optimize.hh"
 #include "lang/parse.hh"
+#include "passes/passes.hh"
 
 using namespace revet;
 using namespace revet::graph;
@@ -191,6 +200,56 @@ mergeGraph(lang::Scalar elem = lang::Scalar::i32)
     g.connectIn(snk.id, lo);
     g.verify();
     return g;
+}
+
+/** Two 2-trip counters bundled by one block: balanced rates. */
+Dfg
+twoCounterGraph()
+{
+    Dfg g;
+    int a = addConstCounter(g, 0, 2, 1);
+    int b = addConstCounter(g, 0, 2, 1);
+    auto &blk = g.newNode(NodeKind::block, "join");
+    g.connectIn(blk.id, a);
+    g.connectIn(blk.id, b);
+    blk.inputRegs = {0, 1};
+    blk.nRegs = 3;
+    addBinop(blk, OpKind::add, 2, 0, 1);
+    int lo = g.newLink("o");
+    blk.outputRegs = {2};
+    g.connectOut(blk.id, lo);
+    auto &snk = g.newNode(NodeKind::sink, "sink");
+    g.connectIn(snk.id, lo);
+    g.verify();
+    return g;
+}
+
+/** The lowered, unoptimized graph of @p source. */
+Dfg
+loweredGraph(const std::string &source)
+{
+    lang::Program hir = lang::parseAndAnalyze(source);
+    passes::runPipeline(hir);
+    return lower(hir);
+}
+
+/** FNV-1a over every rendered link rate and the verdict. */
+uint64_t
+rateHash(const RateReport &rr)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](const std::string &s) {
+        for (unsigned char c : s) {
+            h ^= c;
+            h *= 1099511628211ull;
+        }
+    };
+    for (const auto &r : rr.linkRates) {
+        mix(r);
+        mix("\n");
+    }
+    mix(rr.consistent ? "consistent" : "inconsistent");
+    return h;
 }
 
 int
@@ -367,6 +426,48 @@ TEST(AnalyzeRates, AppGraphsBalance)
     }
 }
 
+TEST(AnalyzeRates, AppRatesMatchGolden)
+{
+    // Every link's rendered rate (symbol names included) and the
+    // verdict, per app, on the lowered and on the optimized graph,
+    // pinned when the solver re-swept every constraint per unknown. A
+    // solver change that alters any answer fails here.
+    struct Golden
+    {
+        const char *app;
+        size_t loweredLinks;
+        uint64_t lowered;
+        size_t optimizedLinks;
+        uint64_t optimized;
+    };
+    const Golden golden[] = {
+        {"isipv4", 321, 0xeba5ec34c66e61b0ull, 236, 0xc67f68152fca7459ull},
+        {"ip2int", 281, 0x74a5ed2aca1a6bdfull, 203, 0x046013805f713f87ull},
+        {"murmur3", 239, 0xaf5e5417c18996b0ull, 170, 0x5bd6c669e6e4e7e2ull},
+        {"hash-table", 448, 0xb430fcdb4eda9f01ull, 302,
+         0x869e4e47ad027fa3ull},
+        {"search", 875, 0x8f2112482d213584ull, 676, 0x620f4bdd8d0049a9ull},
+        {"huff-dec", 607, 0x515f2fde128dcb45ull, 405,
+         0xead28ee0c933d391ull},
+        {"huff-enc", 1308, 0x8d4b749ded5eee59ull, 1010,
+         0x4968b081a6bc3c76ull},
+        {"kD-tree", 1161, 0xe934afe6d71dd8e9ull, 840,
+         0xa92fa7646cba56f2ull},
+    };
+    ASSERT_EQ(std::size(golden), apps::allApps().size());
+    for (const Golden &want : golden) {
+        const apps::App &app = apps::findApp(want.app);
+        RateReport lowered = analyzeRates(loweredGraph(app.source));
+        EXPECT_EQ(lowered.linkRates.size(), want.loweredLinks) << want.app;
+        EXPECT_EQ(rateHash(lowered), want.lowered) << want.app;
+        auto prog = CompiledProgram::compile(app.source);
+        RateReport optimized = analyzeRates(prog.dfg());
+        EXPECT_EQ(optimized.linkRates.size(), want.optimizedLinks)
+            << want.app;
+        EXPECT_EQ(rateHash(optimized), want.optimized) << want.app;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Token accounting
 // ---------------------------------------------------------------------
@@ -534,6 +635,70 @@ TEST(AnalyzeValidate, UnsolicitedParkRejected)
     std::string what = runBrokenExpectThrow(g, pipeline);
     ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
     EXPECT_NE(what.find("park-added"), std::string::npos) << what;
+}
+
+TEST(AnalyzeValidate, RewrittenCounterBoundSeesFreshFacts)
+{
+    // A harmless first rewrite makes the validator compute and cache
+    // the value facts of the balanced graph. The second rewrite widens
+    // one counter to 5 trips: judged on the cached (pre-rewrite) facts
+    // the bundle would still balance, so rejection proves the validator
+    // re-derived the trip count from the rewritten graph.
+    Dfg g = twoCounterGraph();
+    ASSERT_TRUE(analyzeRates(g).consistent);
+    const int join = nodeByName(g, "join");
+    auto rename = [](Dfg &g2) {
+        g2.links[0].name += ".renamed";
+        return 1;
+    };
+    auto widen = [](Dfg &g2) {
+        for (auto &n : g2.nodes) {
+            if (n.name == "bounds") {
+                n.ops[1].imm = 5; // max: 2 -> 5 trips
+                return 1;
+            }
+        }
+        return 0;
+    };
+    std::vector<std::unique_ptr<GraphPass>> pipeline;
+    pipeline.push_back(std::make_unique<BrokenPass<decltype(rename)>>(
+        "test-rename-link", rename));
+    pipeline.push_back(std::make_unique<BrokenPass<decltype(widen)>>(
+        "test-widen-counter", widen));
+    std::string what = runBrokenExpectThrow(g, pipeline);
+    ASSERT_FALSE(what.empty()) << "widened counter was not rejected";
+    EXPECT_NE(what.find("test-widen-counter"), std::string::npos) << what;
+    EXPECT_NE(what.find("rate-imbalance"), std::string::npos) << what;
+    EXPECT_NE(what.find("#" + std::to_string(join)), std::string::npos)
+        << what;
+}
+
+TEST(AnalyzeValidate, ReportedFactsMatchFreshFixpoint)
+{
+    // runPasses() hands out its last value facts for build()'s final
+    // analyzeGraph(); they must describe the graph exactly as left.
+    for (const auto &app : apps::allApps()) {
+        for (bool validate : {true, false}) {
+            Dfg g = loweredGraph(app.source);
+            GraphPassOptions opts;
+            opts.validate = validate;
+            GraphOptReport rep = optimize(g, opts);
+            ASSERT_TRUE(rep.facts) << app.name;
+            const AbsintReport fresh = analyzeValues(g);
+            ASSERT_EQ(rep.facts->links.size(), fresh.links.size())
+                << app.name;
+            for (size_t l = 0; l < fresh.links.size(); ++l) {
+                const AbsVal &a = rep.facts->links[l];
+                const AbsVal &b = fresh.links[l];
+                EXPECT_TRUE(a.bottom == b.bottom && a.smin == b.smin &&
+                            a.smax == b.smax && a.umin == b.umin &&
+                            a.umax == b.umax)
+                    << app.name << " link " << l;
+            }
+            EXPECT_EQ(rep.facts->findings.size(), fresh.findings.size())
+                << app.name;
+        }
+    }
 }
 
 TEST(AnalyzeValidate, ValidateOffSkipsCertification)
