@@ -2,7 +2,10 @@
  * @file
  * A/B comparison of the dataflow engine's scheduling policies.
  *
- * Three sections, all over identical graphs and inputs per section:
+ * Three sections, all over identical graphs and inputs per section.
+ * The synthetic graphs are "+1" block instructions run through the
+ * bytecode test harness (tests/dataflow/bytecode_harness.hh), fed and
+ * drained by its stream endpoints:
  *
  *  - deep: one dense 64-stage pipeline over unbounded channels under
  *    roundRobin vs worklist. Every stage is busy every round, so this
@@ -12,7 +15,7 @@
  *  - sparse: a load-balance region array — 64 replicated 64-stage
  *    pipelines over capacity-1 channels with all input skewed onto
  *    replica 0 (the pathological skew the Figure 14 allocator model
- *    studies). Round-robin rescans ~4k idle primitives per round;
+ *    studies). Round-robin rescans ~4k idle instructions per round;
  *    the worklist only steps the active chain.
  *
  *  - apps: every Table III app executed under both policies with
@@ -34,12 +37,16 @@
 #include <vector>
 
 #include "apps/apps.hh"
+#include "bytecode_harness.hh"
 #include "core/revet.hh"
 #include "dataflow/engine.hh"
 #include "lang/dram_image.hh"
 #include "sltf/codec.hh"
 
 using namespace revet::dataflow;
+using revet::bytecode_test::BytecodeHarness;
+using revet::bytecode_test::StreamSink;
+using revet::graph::OpKind;
 using revet::sltf::StreamBuilder;
 using revet::sltf::Word;
 
@@ -65,77 +72,71 @@ inputStream(int tokens)
     return sb;
 }
 
-/** Append a @p stages-deep chain of +1 ElementWise stages to @p eng. */
-Sink *
-buildChain(Engine &eng, Channel *head, const std::string &prefix,
+/** Append a @p stages-deep chain of +1 block stages to @p h. */
+StreamSink *
+buildChain(BytecodeHarness &h, Channel *head, const std::string &prefix,
            int stages, size_t capacity)
 {
+    using revet::bytecode_test::cnst;
+    using revet::bytecode_test::op;
     Channel *cur = head;
     for (int s = 0; s < stages; ++s) {
         Channel *next =
-            eng.channel(prefix + ".s" + std::to_string(s), capacity);
-        eng.make<ElementWise>(
-            prefix + ".ew" + std::to_string(s), Bundle{cur},
-            Bundle{next},
-            [](const std::vector<Word> &in, std::vector<Word> &out) {
-                out.push_back(in[0] + 1);
-            });
+            h.channel(prefix + ".s" + std::to_string(s), capacity);
+        h.block(prefix + ".ew" + std::to_string(s), {cur}, {next},
+                {cnst(1, 1), op(OpKind::add, 2, 0, 1)}, {2});
         cur = next;
     }
-    return eng.make<Sink>(prefix + ".sink", cur);
+    return h.capture(prefix + ".sink", cur);
+}
+
+RunResult
+measure(BytecodeHarness &h, const StreamSink *sink)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    h.engine.run();
+    auto t1 = std::chrono::steady_clock::now();
+    RunResult out;
+    out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    for (const auto &tok : sink->collected())
+        out.checksum = out.checksum * 31 +
+            (tok.isData() ? tok.word() : 0x80000000u + tok.barrierLevel());
+    out.collected = sink->collected().size();
+    out.sched = h.engine.schedStats();
+    out.drained = h.engine.drained();
+    return out;
 }
 
 RunResult
 runDeep(Engine::Policy policy, int stages, int tokens)
 {
-    Engine eng(policy);
-    Channel *head = eng.channel("deep.in");
-    eng.make<Source>("deep.src", head, inputStream(tokens));
-    Sink *sink = buildChain(eng, head, "deep", stages,
-                            Channel::unbounded);
-    auto t0 = std::chrono::steady_clock::now();
-    eng.run();
-    auto t1 = std::chrono::steady_clock::now();
-    RunResult out;
-    out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    for (const auto &tok : sink->collected())
-        out.checksum = out.checksum * 31 +
-            (tok.isData() ? tok.word() : 0x80000000u + tok.barrierLevel());
-    out.collected = sink->collected().size();
-    out.sched = eng.schedStats();
-    out.drained = eng.drained();
-    return out;
+    BytecodeHarness h(policy);
+    Channel *head = h.channel("deep.in");
+    h.inject("deep.src", head, inputStream(tokens));
+    StreamSink *sink =
+        buildChain(h, head, "deep", stages, Channel::unbounded);
+    h.build();
+    return measure(h, sink);
 }
 
 RunResult
 runSparse(Engine::Policy policy, int replicas, int stages, int tokens)
 {
-    Engine eng(policy);
-    Sink *sink = nullptr;
+    BytecodeHarness h(policy);
+    StreamSink *sink = nullptr;
     for (int r = 0; r < replicas; ++r) {
         const std::string prefix = "rgn" + std::to_string(r);
         // Capacity-1 channels model the per-stage input buffers of the
         // region array; only region 0 receives work (full skew).
-        Channel *head = eng.channel(prefix + ".in", 1);
+        Channel *head = h.channel(prefix + ".in", 1);
         if (r == 0)
-            eng.make<Source>(prefix + ".src", head,
-                             inputStream(tokens));
-        Sink *s = buildChain(eng, head, prefix, stages, 1);
+            h.inject(prefix + ".src", head, inputStream(tokens));
+        StreamSink *s = buildChain(h, head, prefix, stages, 1);
         if (r == 0)
             sink = s;
     }
-    auto t0 = std::chrono::steady_clock::now();
-    eng.run();
-    auto t1 = std::chrono::steady_clock::now();
-    RunResult out;
-    out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    for (const auto &tok : sink->collected())
-        out.checksum = out.checksum * 31 +
-            (tok.isData() ? tok.word() : 0x80000000u + tok.barrierLevel());
-    out.collected = sink->collected().size();
-    out.sched = eng.schedStats();
-    out.drained = eng.drained();
-    return out;
+    h.build();
+    return measure(h, sink);
 }
 
 void

@@ -1,15 +1,15 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the machine substrate: SLTF
- * codec throughput, streaming primitive rates, and end-to-end compile
- * time for the strlen case study. These guard the simulator's own
- * performance (host-side), not modeled vRDA numbers.
+ * codec throughput and end-to-end compile time for the strlen case
+ * study. These guard the simulator's own performance (host-side), not
+ * modeled vRDA numbers. Executor and scheduler costs are measured by
+ * bench_exec_dispatch and bench_engine_sched.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "core/revet.hh"
-#include "dataflow/engine.hh"
 #include "sltf/codec.hh"
 #include "sltf/ragged.hh"
 
@@ -54,71 +54,6 @@ BM_SltfRoundTrip(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * stream.size());
 }
 BENCHMARK(BM_SltfRoundTrip)->Arg(100)->Arg(1000);
-
-static void
-BM_EngineReducePipeline(benchmark::State &state)
-{
-    for (auto _ : state) {
-        dataflow::Engine e;
-        auto *in = e.channel("in");
-        auto *out = e.channel("out");
-        e.make<dataflow::Source>(
-            "src", in, bigStream(static_cast<int>(state.range(0)), 16));
-        e.make<dataflow::Reduce>(
-            "sum", in, out,
-            [](sltf::Word a, sltf::Word b) { return a + b; }, 0);
-        auto *sink = e.make<dataflow::Sink>("sink", out);
-        e.run();
-        benchmark::DoNotOptimize(sink->collected());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0) * 17);
-}
-BENCHMARK(BM_EngineReducePipeline)->Arg(100)->Arg(1000);
-
-/**
- * Scheduler policy A/B on a skewed region array: 16 replicated 8-stage
- * pipelines, all tokens routed to replica 0 (see bench_engine_sched
- * for the full 64x64 comparison with pass/fail gating). Arg 0 =
- * roundRobin, 1 = worklist.
- */
-static void
-BM_EngineSchedSkewed(benchmark::State &state)
-{
-    const auto policy = state.range(0) == 0
-                            ? dataflow::Engine::Policy::roundRobin
-                            : dataflow::Engine::Policy::worklist;
-    for (auto _ : state) {
-        dataflow::Engine e(policy);
-        dataflow::Sink *sink = nullptr;
-        for (int rep = 0; rep < 16; ++rep) {
-            auto *cur = e.channel("in" + std::to_string(rep), 1);
-            if (rep == 0) {
-                e.make<dataflow::Source>("src", cur,
-                                         bigStream(64, 16));
-            }
-            for (int s = 0; s < 8; ++s) {
-                auto *next = e.channel(
-                    "c" + std::to_string(rep) + "_" + std::to_string(s),
-                    1);
-                e.make<dataflow::ElementWise>(
-                    "ew", dataflow::Bundle{cur},
-                    dataflow::Bundle{next},
-                    [](const std::vector<sltf::Word> &in,
-                       std::vector<sltf::Word> &out) {
-                        out.push_back(in[0] + 1);
-                    });
-                cur = next;
-            }
-            auto *snk = e.make<dataflow::Sink>("sink", cur);
-            if (rep == 0)
-                sink = snk;
-        }
-        e.run();
-        benchmark::DoNotOptimize(sink->collected());
-    }
-    state.SetItemsProcessed(state.iterations() * 64 * 17);
-}
-BENCHMARK(BM_EngineSchedSkewed)->Arg(0)->Arg(1);
 
 static void
 BM_CompileStrlen(benchmark::State &state)

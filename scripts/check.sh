@@ -153,11 +153,10 @@ if [[ "$sanitize" != OFF ]]; then
     echo "== optimizer fuzz differential (sanitized, fixed seed)"
     REVET_FUZZ_SEED="${REVET_FUZZ_SEED:-20260730}" \
         "$build_dir/tests/revet_test_fuzz"
-    # Both executors must agree token-for-token on every fixture: run
-    # the bytecode/step differential suite explicitly under the
-    # instrumented build (the fuzz sweep above also replays its
-    # executor oracle at the pinned seed).
-    echo "== bytecode/step executor differential (sanitized)"
+    # The executor must reproduce the golden link traffic on every
+    # fixture: run the bytecode suite explicitly under the
+    # instrumented build.
+    echo "== bytecode golden link traffic (sanitized)"
     "$build_dir/tests/revet_test_bytecode"
     # The serving layer recycles execution contexts across requests and
     # shares one immutable artifact between worker threads — lifetime

@@ -78,7 +78,7 @@ canonicalOptions(const CompileOptions &opts)
     put(oss, "targetUtilization", m.targetUtilization);
     oss << "}}graph{";
     put(oss, "hoistAllocators", opts.graph.hoistAllocators);
-    oss << "}executor=" << graph::toString(opts.executor) << ';';
+    oss << '}';
     return oss.str();
 }
 
@@ -144,20 +144,6 @@ CompiledArtifact::interpret(lang::DramImage &dram,
                             const std::vector<int32_t> &args) const
 {
     return interp::run(ref_, dram, args);
-}
-
-graph::ExecStats
-CompiledArtifact::executeWith(graph::ExecutorKind executor,
-                              lang::DramImage &dram,
-                              const std::vector<int32_t> &args,
-                              dataflow::Engine::Policy policy) const
-{
-    if (executor == graph::ExecutorKind::bytecode) {
-        return graph::execute(bytecode_, dram, args,
-                              dataflow::Engine::defaultMaxRounds, policy);
-    }
-    return graph::execute(dfg_, dram, args,
-                          dataflow::Engine::defaultMaxRounds, policy);
 }
 
 ArtifactCache &

@@ -76,11 +76,6 @@ struct CompileOptions
      * plumbed into graph::ResourceOptions by the evaluation harness
      * and into graph::ContextOptions by makeContext(). */
     graph::GraphToggles graph;
-    /** Which executor CompiledProgram::execute runs. Both are
-     * bit-identical by contract (the differential suite enforces it);
-     * bytecode is the compile-once fast path, stepObjects the
-     * reference oracle. */
-    graph::ExecutorKind executor = graph::ExecutorKind::bytecode;
 };
 
 /**
@@ -173,14 +168,6 @@ class CompiledArtifact
     /** Run on the reference AST interpreter (golden model). */
     interp::RunStats interpret(lang::DramImage &dram,
                                const std::vector<int32_t> &args) const;
-
-    /** One-shot execution under @p executor (the differential suite's
-     * entry point; serving paths use makeContext() instead). */
-    graph::ExecStats executeWith(graph::ExecutorKind executor,
-                                 lang::DramImage &dram,
-                                 const std::vector<int32_t> &args,
-                                 dataflow::Engine::Policy policy =
-                                     dataflow::Engine::Policy::worklist) const;
 
   private:
     CompiledArtifact() = default;
@@ -315,29 +302,16 @@ class CompiledProgram
         return artifact_->bytecode();
     }
 
-    /** Run the compiled dataflow graph functionally, under the
-     * executor selected by CompileOptions::executor. The executor and
-     * the scheduling policy are observable only through stats/perf
-     * counters, never through results (see dataflow/engine.hh and
-     * graph/bytecode.hh). */
+    /** Run bytecode() once, functionally, on a fresh context. The
+     * scheduling policy is observable only through stats/perf
+     * counters, never through results (see dataflow/engine.hh). */
     graph::ExecStats
     execute(lang::DramImage &dram, const std::vector<int32_t> &args,
             dataflow::Engine::Policy policy =
                 dataflow::Engine::Policy::worklist) const
     {
-        return artifact_->executeWith(options().executor, dram, args,
-                                      policy);
-    }
-
-    /** execute() with an explicit executor, overriding the compile
-     * option — the differential suite's entry point. */
-    graph::ExecStats
-    executeWith(graph::ExecutorKind executor, lang::DramImage &dram,
-                const std::vector<int32_t> &args,
-                dataflow::Engine::Policy policy =
-                    dataflow::Engine::Policy::worklist) const
-    {
-        return artifact_->executeWith(executor, dram, args, policy);
+        return graph::execute(bytecode(), dram, args,
+                              dataflow::Engine::defaultMaxRounds, policy);
     }
 
   private:

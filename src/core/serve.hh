@@ -20,7 +20,7 @@
  * barrier counts match a CompiledProgram::execute of the same
  * (source, args) under any scheduling policy and any worker count —
  * Kahn-network determinism end to end. tests/core/test_serve.cc
- * enforces this against the step-object oracle.
+ * enforces this against a serial one-shot run on a fresh context.
  */
 
 #ifndef REVET_CORE_SERVE_HH

@@ -8,6 +8,52 @@ namespace revet
 namespace dataflow
 {
 
+bool
+Process::idle() const
+{
+    for (const Channel *ch : inputs()) {
+        if (!ch->empty())
+            return false;
+    }
+    return true;
+}
+
+std::string
+Process::ioStallDetail() const
+{
+    std::ostringstream oss;
+    bool starved = false;
+    for (const Channel *ch : inputs()) {
+        if (ch->empty()) {
+            oss << (starved ? " " : "starved inputs:[");
+            oss << (ch->name().empty() ? "?" : ch->name());
+            starved = true;
+        }
+    }
+    if (starved)
+        oss << "]";
+    bool full = false;
+    for (const Channel *ch : outputs()) {
+        if (!ch->canPush()) {
+            oss << (full ? " " : (starved ? "; full outputs:[" :
+                                            "full outputs:["));
+            oss << (ch->name().empty() ? "?" : ch->name());
+            full = true;
+        }
+    }
+    if (full)
+        oss << "]";
+    if (!starved && !full)
+        oss << "internally blocked";
+    return oss.str();
+}
+
+std::string
+Process::stallReason() const
+{
+    return name_ + ": " + ioStallDetail();
+}
+
 void
 Engine::registerProcess(Process *proc)
 {
@@ -39,6 +85,15 @@ Engine::throwLivelock(uint64_t max_rounds) const
         " working rounds with tokens still moving — either a genuine "
         "livelock (see the stall reasons below) or an undersized "
         "max_rounds for this workload. " + stallReport());
+}
+
+void
+Engine::reset()
+{
+    for (auto &ch : channels_)
+        ch->resetForReuse();
+    for (auto &proc : procs_)
+        proc->reset();
 }
 
 uint64_t

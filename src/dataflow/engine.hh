@@ -41,16 +41,116 @@
 
 #include <deque>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dataflow/channel.hh"
-#include "dataflow/primitives.hh"
 
 namespace revet
 {
 namespace dataflow
 {
+
+/**
+ * Base class for everything an Engine schedules: one streaming
+ * primitive (in practice, one bytecode instruction — graph/bytecode.hh)
+ * consuming and producing explicit-barrier SLTF streams over Channels.
+ *
+ * stepOnce() performs a bounded quantum of work and never consumes an
+ * input token unless the resulting outputs can be pushed, so the same
+ * process runs over unbounded and bounded channels alike.
+ *
+ * Every process declares its input and output channels (declareIo) at
+ * construction. The Engine uses the declaration to wire channel
+ * back-references for the worklist scheduler, and the base class uses
+ * it for generic stall diagnostics: a blocked process can say which
+ * inputs it is starved on and which outputs are full.
+ *
+ * The Engine runs every process of a graph on one thread, so neither
+ * process state nor channel access needs synchronisation: within one
+ * stepOnce() a channel changes only through the process's own pushes
+ * and pops. A token that arrives after a process blocked is next
+ * step's work: its push notification re-queues the consumer.
+ */
+class Process
+{
+  public:
+    explicit Process(std::string name) : name_(std::move(name)) {}
+    virtual ~Process() = default;
+
+    /**
+     * Perform one quantum of work.
+     * @return true if any token moved (progress was made).
+     */
+    virtual bool stepOnce() = 0;
+
+    /** Return every per-run member to its just-constructed state, so
+     * the same wiring can serve a fresh run (Engine::reset). */
+    virtual void reset() = 0;
+
+    /**
+     * Run up to @p burst quanta; returns the number completed. A return
+     * value less than @p burst means the process blocked (its next
+     * stepOnce() would make no progress until a channel event wakes it).
+     */
+    int
+    runQuanta(int burst)
+    {
+        int done = 0;
+        try {
+            while (done < burst && stepOnce())
+                ++done;
+        } catch (const std::runtime_error &err) {
+            throw std::runtime_error("[" + name_ + "] " + err.what());
+        }
+        return done;
+    }
+
+    const std::string &name() const { return name_; }
+
+    /** Channels this process pops from, as declared at construction. */
+    const std::vector<Channel *> &inputs() const { return io_ins_; }
+    /** Channels this process pushes to, as declared at construction. */
+    const std::vector<Channel *> &outputs() const { return io_outs_; }
+
+    /**
+     * True when this process is quiescent by design: nothing pending
+     * on its inputs and no buffered internal state. A non-idle process
+     * that cannot step is stalled and shows up in Engine::stallReport().
+     * The default checks declared inputs only; processes with internal
+     * state override.
+     */
+    virtual bool idle() const;
+
+    /**
+     * One-line diagnosis of why this process cannot currently step.
+     * The default derives it from the declared channels (starved inputs,
+     * full outputs); stateful processes append their mode.
+     */
+    virtual std::string stallReason() const;
+
+  protected:
+    /** Record the channel sets this process reads and writes. */
+    void
+    declareIo(std::vector<Channel *> ins, std::vector<Channel *> outs)
+    {
+        io_ins_ = std::move(ins);
+        io_outs_ = std::move(outs);
+    }
+
+    /** Channel-derived stall description, for overrides to extend. */
+    std::string ioStallDetail() const;
+
+  private:
+    friend class Engine;
+
+    std::string name_;
+    std::vector<Channel *> io_ins_;
+    std::vector<Channel *> io_outs_;
+    /** Index into the owning engine's worklist in-queue bitmap. */
+    size_t sched_id_ = static_cast<size_t>(-1);
+};
 
 /** Observability counters for one Engine::run invocation. */
 struct SchedStats
@@ -85,8 +185,8 @@ class Engine
     enum class Policy { roundRobin, worklist };
 
     /** Default safety cap on working rounds, shared by every caller
-     * (graph::execute, CompiledProgram::execute) so all entry points
-     * diagnose livelock at the same threshold. */
+     * (graph::execute, graph::ExecutionContext::run) so all entry
+     * points diagnose livelock at the same threshold. */
     static constexpr uint64_t defaultMaxRounds = 1u << 26;
 
     explicit Engine(Policy policy = Policy::worklist) : policy_(policy) {}
@@ -99,7 +199,7 @@ class Engine
     Policy policy() const { return policy_; }
     void setPolicy(Policy policy) { policy_ = policy; }
 
-    /** Work quanta a primitive may run per scheduling decision. */
+    /** Work quanta a process may run per scheduling decision. */
     void setBurst(int burst) { burst_ = burst < 1 ? 1 : burst; }
 
     /** Create a channel owned by this engine. */
@@ -112,7 +212,7 @@ class Engine
         return channels_.back().get();
     }
 
-    /** Construct and register a primitive. */
+    /** Construct and register a process. */
     template <typename P, typename... Args>
     P *
     make(Args &&...args)
@@ -135,6 +235,12 @@ class Engine
      * @return number of working rounds taken.
      */
     uint64_t run(uint64_t max_rounds = defaultMaxRounds);
+
+    /** Return every channel and process to its just-constructed
+     * state (FIFOs and lifetime counts cleared, per-run process state
+     * re-armed), so the same wiring serves a fresh run. Setup-only: no
+     * run in flight. */
+    void reset();
 
     /** Counters from the most recent run(). */
     const SchedStats &schedStats() const { return sched_; }

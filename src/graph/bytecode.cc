@@ -21,13 +21,8 @@ using dataflow::bundleHeadKind;
 using dataflow::Channel;
 using dataflow::pushBarrier;
 using detail::MachineMemory;
+using lang::normalize;
 using sltf::Token;
-
-std::string
-toString(ExecutorKind kind)
-{
-    return kind == ExecutorKind::stepObjects ? "stepObjects" : "bytecode";
-}
 
 const char *
 toString(BcOp op)
@@ -76,8 +71,7 @@ BytecodeProgram::compile(const Dfg &dfg)
         switch (node.kind) {
           case NodeKind::source:
             inst.op = BcOp::source;
-            // Argument slots are assigned in node order, matching the
-            // step executor's consumption order exactly.
+            // Argument slots are assigned in source-node order.
             inst.arg = node.name == "__start"
                            ? -1
                            : static_cast<int32_t>(arg_idx++);
@@ -150,27 +144,127 @@ namespace
 {
 
 /**
- * One bytecode instruction running as an engine process.
+ * Evaluate a memory op (SRAM heap, DRAM image, rmw) over @p regs,
+ * updating @p mem and its stats, or throw the division/remainder by
+ * zero that graph::evalPureOp declines — a machine-model violation
+ * here. Pure ALU ops never reach this: stepBlock dispatches them
+ * through evalPureOp directly.
+ */
+Word
+evalMemOp(const BlockOp &op, const std::vector<Word> &regs,
+          MachineMemory &mem)
+{
+    auto A = [&] { return regs[op.a]; };
+    auto B = [&] { return regs[op.b]; };
+    auto C = [&] { return regs[op.c]; };
+    switch (op.kind) {
+      case OpKind::divs:
+      case OpKind::divu:
+        throw std::runtime_error("division by zero in dataflow");
+      case OpKind::rems:
+      case OpKind::remu:
+        throw std::runtime_error("remainder by zero in dataflow");
+      case OpKind::sramAlloc:
+        return mem.alloc(op.size);
+      case OpKind::sramRead: {
+        ++mem.stats->sramAccesses;
+        auto *buf = mem.buffer(A());
+        uint32_t idx = B();
+        return idx < buf->size() ? normalize(op.elem, (*buf)[idx]) : 0;
+      }
+      case OpKind::sramWrite: {
+        ++mem.stats->sramAccesses;
+        auto *buf = mem.buffer(A());
+        uint32_t idx = B();
+        if (idx < buf->size())
+            (*buf)[idx] = normalize(op.elem, C());
+        return 0;
+      }
+      case OpKind::rmwAdd:
+      case OpKind::rmwSub: {
+        ++mem.stats->sramAccesses;
+        auto *buf = mem.buffer(A());
+        uint32_t idx = B();
+        if (idx >= buf->size())
+            return 0;
+        uint32_t old = (*buf)[idx];
+        uint32_t next =
+            op.kind == OpKind::rmwAdd ? old + C() : old - C();
+        (*buf)[idx] = normalize(op.elem, next);
+        return normalize(op.elem, old);
+      }
+      case OpKind::dramRead: {
+        ++mem.stats->dramReadElems;
+        mem.stats->dramReadBytes += lang::dramElemBytes(op.elem);
+        return mem.dram->load(op.dram, A());
+      }
+      case OpKind::dramWrite: {
+        ++mem.stats->dramWriteElems;
+        mem.stats->dramWriteBytes += lang::dramElemBytes(op.elem);
+        mem.dram->store(op.dram, A(), B());
+        return 0;
+      }
+      default:
+        break; // pure ops are handled by evalPureOp
+    }
+    return 0;
+}
+
+/**
+ * Post-run bookkeeping: copy the engine's scheduler counters into
+ * @p stats, throw the stall report if the network failed to drain, and
+ * harvest per-link traffic/value watches (the engine's first
+ * @p num_links channels are the graph links, in link-id order).
+ */
+void
+collectRunStats(dataflow::Engine &engine, size_t num_links,
+                ExecStats &stats)
+{
+    const dataflow::SchedStats &sched = engine.schedStats();
+    stats.schedWakeups = sched.wakeups;
+    stats.schedSteps = sched.steps;
+    stats.schedIdleSteps = sched.idleSteps;
+    stats.schedStepsSkipped = sched.stepsSkipped;
+    stats.schedVerifyPasses = sched.verifyPasses;
+    stats.schedQuanta = sched.quanta;
+    stats.drained = engine.drained();
+    if (!stats.drained) {
+        throw std::runtime_error("dataflow execution stalled: " +
+                                 engine.stallReport());
+    }
+    stats.linkTokens.resize(num_links, 0);
+    stats.linkBarriers.resize(num_links, 0);
+    stats.linkValues.resize(num_links);
+    const auto &channels = engine.channels();
+    for (size_t i = 0; i < num_links; ++i) {
+        stats.linkTokens[i] = channels[i]->totalPushed();
+        stats.linkBarriers[i] = channels[i]->watch().barriersPushed;
+        stats.linkValues[i] = channels[i]->watch();
+    }
+}
+
+/**
+ * One bytecode instruction running as an engine process: the Section
+ * III-B streaming primitive its opcode names.
  *
- * The interpreter is a single stepOnce() switch over the opcode; each
- * case mirrors the corresponding streaming primitive in
- * dataflow/primitives.cc token for token, so link traffic is
- * bit-identical between executors under every scheduling policy. What
- * the bytecode path eliminates is the per-firing dispatch tax of the
- * step objects: channel bundles
- * and the block register file are resolved/allocated once at bind
- * time and reused, and a block firing is a straight loop over the
- * program's flat BlockOp table (no std::function hop, no per-firing
- * vectors).
+ * Every opcode keeps the two machine-model rules:
+ *
+ *  1. every barrier that enters a primitive exits exactly once, in
+ *     order (or is transformed by the opcode's level rule);
+ *  2. thread data is never reordered across barriers (only between
+ *     them).
+ *
+ * stepOnce() is a single switch over the opcode. Channel bundles and
+ * the block register file are resolved/allocated once at bind time
+ * and reused, and a block firing is a straight loop over the
+ * program's flat BlockOp table (no per-firing allocation).
  */
 class BytecodeProc final : public dataflow::Process
 {
   public:
     BytecodeProc(const BytecodeProgram &prog, const BcInst &inst,
-                 const std::vector<Channel *> &chans,
-                 std::shared_ptr<MachineMemory> mem, int32_t arg_value)
-        : Process(prog.names[inst.name]), inst_(inst),
-          mem_(std::move(mem))
+                 const std::vector<Channel *> &chans, MachineMemory &mem)
+        : Process(prog.names[inst.name]), inst_(inst), mem_(mem)
     {
         ins_.reserve(inst.nIns);
         for (uint32_t i = 0; i < inst.nIns; ++i)
@@ -194,29 +288,19 @@ class BytecodeProc final : public dataflow::Process
           default:
             break;
         }
-        reset(arg_value);
+        BytecodeProc::reset();
     }
 
     /**
-     * Re-arm for a fresh request: re-seed the source stream from
-     * @p arg_value and return every per-run member — stream cursor,
-     * counter/merge/reduce mode machines, keyed-park table, ordinal
-     * counter — to its initial state. The structural wiring (bundles,
-     * block op/reg pointers) set up in the constructor is untouched.
-     * Called by the constructor and by ExecutionContext::run between
-     * requests; setup-only, like Channel::resetForReuse.
+     * Re-arm for a fresh run: return every per-run member — source
+     * cursor, counter/merge/reduce mode machines, keyed-park table,
+     * ordinal counter — to its initial state. The structural wiring
+     * (bundles, block op/reg pointers) set up in the constructor is
+     * untouched.
      */
     void
-    reset(int32_t arg_value)
+    reset() override
     {
-        if (inst_.op == BcOp::source) {
-            seed_ = inst_.arg < 0
-                        ? sltf::StreamBuilder().d(0).b(1).build()
-                        : sltf::StreamBuilder()
-                              .d(static_cast<Word>(arg_value))
-                              .b(1)
-                              .build();
-        }
         pos_ = 0;
         cmode_ = CtrMode::idle;
         cur_ = lim_ = stride_ = 0;
@@ -261,7 +345,7 @@ class BytecodeProc final : public dataflow::Process
     {
         switch (inst_.op) {
           case BcOp::source:
-            return pos_ == seed_.size();
+            return pos_ == kSourceTokens;
           case BcOp::counter:
             return cmode_ == CtrMode::idle && Process::idle();
           case BcOp::reduce:
@@ -271,8 +355,7 @@ class BytecodeProc final : public dataflow::Process
                    Process::idle();
           default:
             // Leftover keyedRestore values are parks of threads that
-            // died inside the region mid-batch: quiescent, not a stall
-            // (mirrors the step executor's KeyedRestore).
+            // died inside the region mid-batch: quiescent, not a stall.
             return Process::idle();
         }
     }
@@ -283,7 +366,7 @@ class BytecodeProc final : public dataflow::Process
         switch (inst_.op) {
           case BcOp::source:
             return name() + ": " +
-                   std::to_string(seed_.size() - pos_) +
+                   std::to_string(kSourceTokens - pos_) +
                    " tokens pending; " + ioStallDetail();
           case BcOp::counter: {
             const char *mode = cmode_ == CtrMode::idle  ? "idle"
@@ -328,29 +411,41 @@ class BytecodeProc final : public dataflow::Process
     }
 
   private:
-    // ---- per-opcode steps; each mirrors its primitives.cc twin ----
+    // ---- per-opcode steps ----
 
+    /** Program entry: one thread carrying main's argument (or 0 for
+     * `__start`), then its group's closing B1. */
     bool
     stepSource()
     {
         Channel *out = outs_[0];
-        if (pos_ >= seed_.size() || !out->canPush())
+        if (pos_ == kSourceTokens || !out->canPush())
             return false;
-        out->push(seed_[pos_++]);
+        if (pos_ == 0) {
+            const Word arg = inst_.arg < 0
+                                 ? 0
+                                 : static_cast<Word>(
+                                       (*mem_.args)[inst_.arg]);
+            out->push(Token::data(arg));
+        } else {
+            out->push(Token::barrier(1));
+        }
+        ++pos_;
         return true;
     }
 
+    /** Discards a dangling stream (nothing reads it back); traffic
+     * counting is unaffected. */
     bool
     stepSink()
     {
-        // Unlike dataflow::Sink this discards (nothing reads a compiled
-        // graph's sink stream back); traffic counting is unaffected.
         if (ins_[0]->empty())
             return false;
         ins_[0]->pop();
         return true;
     }
 
+    /** Copies one input stream to every output (link fan-out). */
     bool
     stepFanout()
     {
@@ -366,6 +461,10 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
+    /** Element-wise context (Section III-B(a)): pops one aligned token
+     * from every input; data runs the block body, barriers (which must
+     * agree across inputs) pass to every output. Ordering, hierarchy
+     * and thread count never change. */
     bool
     stepBlock()
     {
@@ -379,9 +478,9 @@ class BytecodeProc final : public dataflow::Process
             return true;
         }
         // One firing over the preallocated register file: fresh
-        // zero-init (reads-before-writes yield 0, as in the step
-        // executor), inputs landed by the lane map, then a straight
-        // run over this block's slice of the flat op table.
+        // zero-init (reads-before-writes yield 0), inputs landed by the
+        // lane map, then a straight run over this block's slice of the
+        // flat op table.
         std::fill(regs_.begin(), regs_.end(), 0);
         for (size_t i = 0; i < ins_.size(); ++i)
             regs_[in_regs_[i]] = ins_[i]->pop().word();
@@ -389,17 +488,16 @@ class BytecodeProc final : public dataflow::Process
             const BlockOp &op = ops_[i];
             if (op.guard >= 0 && regs_[op.guard] == 0)
                 continue;
-            // ALU fast path: dispatch straight through evalPureOp (the
-            // single home of arithmetic semantics) and fall back to
-            // detail::evalOp only for the ops it declines — memory
-            // traffic and the div/rem-by-zero throw, both of which
-            // must take the shared-machine-memory lock anyway.
+            // ALU ops go through evalPureOp (the single home of
+            // arithmetic semantics, shared with the constant folder);
+            // evalMemOp takes the ones it declines — memory traffic
+            // and the div/rem-by-zero throw.
             Word v;
             const Word a = op.a >= 0 ? regs_[op.a] : 0;
             const Word b = op.b >= 0 ? regs_[op.b] : 0;
             const Word c = op.c >= 0 ? regs_[op.c] : 0;
             if (!evalPureOp(op, a, b, c, v))
-                v = detail::evalOp(op, regs_, *mem_);
+                v = evalMemOp(op, regs_, mem_);
             if (op.dst >= 0)
                 regs_[op.dst] = v;
         }
@@ -408,6 +506,10 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
+    /** Counter (expansion): maps each (min, max, step) triple to the
+     * range [min, max) and adds one hierarchy level; incoming barriers
+     * are raised one level. Empty ranges still emit their explicit
+     * Omega(1) so empty groups stay distinct. */
     bool
     stepCounter()
     {
@@ -454,6 +556,11 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
+    /** Broadcast (expansion, Section III-B(b)): repeats each element
+     * of the shallow stream (ins_[1]) across one dim-`level` group of
+     * the deep structure stream (ins_[0]). The output mirrors the deep
+     * stream's structure with its data replaced by the current shallow
+     * element; the deep stream is consumed. */
     bool
     stepBroadcast()
     {
@@ -509,6 +616,9 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
+    /** Reduction: sums the last tensor dimension into one element and
+     * lowers every barrier by one level. Empty groups yield the initial
+     * value, preserving [[]] -> [0], [[],[]] -> [0,0], [] -> []. */
     bool
     stepReduce()
     {
@@ -537,6 +647,9 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
+    /** Flatten / hierarchy strip: removes one hierarchy level without
+     * touching elements — Omega(1) disappears, Omega(j) becomes
+     * Omega(j-1). Used for fork and for edges leaving a while body. */
     bool
     stepFlatten()
     {
@@ -559,6 +672,9 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
+    /** Filter (Section III-B(c)): forwards a thread's bundle only when
+     * its predicate matches `sense`; barriers pass through. An if
+     * statement uses two filters of opposite sense. */
     bool
     stepFilter()
     {
@@ -588,11 +704,15 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
+    /** Forward merge (if-join): interleaves two forward branches,
+     * eagerly within the lowest dimension. A side that reaches a
+     * barrier stalls until the other presents the matching barrier;
+     * the pair leaves as one barrier. Bundles merge atomically. */
     bool
     stepFwdMerge()
     {
-        // Snapshot each side's head exactly once (-1 = no token yet);
-        // see the negative-observation corollary in primitives.hh.
+        // Snapshot each side's head exactly once (-1 = no token yet): a
+        // token that lands mid-step is next step's work.
         const int ka = allHaveToken(a_) ? bundleHeadKind(a_) : -1;
         const int kb = allHaveToken(b_) ? bundleHeadKind(b_) : -1;
         if (ka == 0 || kb == 0) {
@@ -625,13 +745,33 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
+    /**
+     * Forward-backward merge: the while-loop header (Section
+     * III-B(d)).
+     *
+     * Forward data flows until a forward barrier Omega(k) arrives; then
+     * the merge emits the loop-control Omega(1), stalls the forward
+     * input, and drains: every backedge group that still contains
+     * threads is passed through and re-terminated with Omega(1); a
+     * backedge group that arrives empty means the body has fully
+     * drained, so the merge emits Omega(k+1) into the body (the
+     * loop-exit edge's flatten lowers it back to Omega(k)) and
+     * unstalls the forward input. The copy of that final barrier that
+     * comes back around the backedge is swallowed as an echo.
+     *
+     * Batching is deterministic: before the flush only the forward
+     * input flows (recirculating threads wait in the backedge for the
+     * drain phase), so batch structure and link traffic depend only on
+     * the input streams, never on scheduling order. The hardware merge
+     * additionally free-runs recirculators into the current batch,
+     * which overlaps iterations but cannot change results.
+     */
     bool
     stepFbMerge()
     {
         // Snapshot the backedge head exactly once for the whole step
-        // (-1 = no token yet), as in dataflow::FwdBackMerge — the echo
-        // check, the flow-mode sanity check, and the drain all branch
-        // on this one observation.
+        // (-1 = no token yet): the echo check, the flow-mode sanity
+        // check, and the drain all branch on this one observation.
         const int bk = allHaveToken(b_) ? bundleHeadKind(b_) : -1;
 
         // The released flush's barrier recirculates through the body
@@ -645,9 +785,9 @@ class BytecodeProc final : public dataflow::Process
         }
 
         if (mmode_ == MergeMode::flow) {
-            // Only the forward input flows before the flush (see
-            // FwdBackMerge::stepOnce for why this batching discipline
-            // is what keeps link traffic schedule-independent).
+            // Only the forward input flows before the flush: the
+            // batching discipline that keeps link traffic
+            // schedule-independent.
             if (bk > 0) {
                 throw std::runtime_error(
                     name() + ": unexpected backedge barrier B" +
@@ -712,6 +852,10 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
+    /** SRAM park around a replicate region: identity on the stream,
+     * counting one occupied slot per element. A keyed park is the same
+     * (its arrival index is the slot key); the associative semantics
+     * live in keyedRestore. */
     bool
     stepPark()
     {
@@ -721,9 +865,9 @@ class BytecodeProc final : public dataflow::Process
             return false;
         Token tok = in->pop();
         if (tok.isData()) {
-            ++mem_->stats->sramAccesses;
-            ++mem_->stats->sramParkedElems;
-            mem_->parkSlot();
+            ++mem_.stats->sramAccesses;
+            ++mem_.stats->sramParkedElems;
+            mem_.parkSlot();
         }
         out->push(tok);
         return true;
@@ -739,20 +883,43 @@ class BytecodeProc final : public dataflow::Process
             return false;
         Token tok = in->pop();
         if (tok.isData()) {
-            ++mem_->stats->sramAccesses;
-            mem_->releaseSlot();
+            ++mem_.stats->sramAccesses;
+            mem_.releaseSlot();
         }
         out->push(tok);
         return true;
     }
 
+    /**
+     * Associative read-back side of an ordinal-keyed park/restore pair.
+     *
+     * The park forwards the value stream (ins_[0]) in region-entry
+     * order; this buffers each arriving value under its arrival index
+     * (the same numbering the region-entry ordinal hands out) and emits
+     * values in the order their keys appear on the key stream
+     * (ins_[1]) — the ordinal lane that rode the region's bundles,
+     * i.e. region-exit order. The output's barrier structure mirrors
+     * the key stream (the value stream's barriers carry entry-order
+     * structure and are dropped); a key whose value has not arrived
+     * yet simply waits.
+     *
+     * Slot reclamation: values whose threads died inside the region
+     * (exit/return) are never looked up, so waiting for a lookup would
+     * hold their slots forever. Both streams of a keyed pair carry the
+     * same barrier structure — keyed parking refuses thread-multiplying
+     * region bodies (counter/broadcast/reduce force a fork refusal),
+     * and every remaining in-region primitive conserves barriers end
+     * to end (flattens inside a while body cancel against the B1s its
+     * fbMerge inserts) — so barrier #k on the value stream and barrier
+     * #k on the key stream delimit the same batch of threads. When the
+     * key stream closes batch k, every still-buffered value tagged with
+     * batch k belongs to a dead thread and its slot is freed
+     * (bookkeeping only: the MU just forgets the slot, so no
+     * sramAccesses are counted).
+     */
     bool
     stepKeyedRestore()
     {
-        // Associative read-back of an ordinal-keyed park/restore pair;
-        // mirrors exec.cc's KeyedRestore, including the batch-close
-        // slot reclamation (see that class comment for the barrier
-        // correspondence argument).
         Channel *value = ins_[0];
         Channel *key = ins_[1];
         Channel *out = outs_[0];
@@ -765,7 +932,7 @@ class BytecodeProc final : public dataflow::Process
             if (value_batches_ < key_batches_) {
                 // Dead on arrival: the value's batch already closed on
                 // the key side, so no key can ever look it up.
-                mem_->releaseSlot();
+                mem_.releaseSlot();
             } else {
                 buffered_[next_ordinal_] = {tok.word(), value_batches_};
             }
@@ -785,8 +952,8 @@ class BytecodeProc final : public dataflow::Process
         if (it == buffered_.end())
             return false; // the key ran ahead of its parked value
         key->pop();
-        ++mem_->stats->sramAccesses;
-        mem_->releaseSlot();
+        ++mem_.stats->sramAccesses;
+        mem_.releaseSlot();
         out->push(Token::data(it->second.value));
         buffered_.erase(it);
         return true;
@@ -807,7 +974,7 @@ class BytecodeProc final : public dataflow::Process
         if (freed == 0)
             return;
         for (size_t i = 0; i < freed; ++i)
-            mem_->releaseSlot();
+            mem_.releaseSlot();
     }
 
     bool
@@ -838,8 +1005,11 @@ class BytecodeProc final : public dataflow::Process
     enum class CtrMode : uint8_t { idle, run, term };
     enum class MergeMode : uint8_t { flow, drain };
 
+    /** A source emits d(arg) then B1. */
+    static constexpr size_t kSourceTokens = 2;
+
     const BcInst &inst_;
-    std::shared_ptr<MachineMemory> mem_;
+    MachineMemory &mem_;
     Bundle ins_;
     Bundle outs_;
     Bundle a_; ///< merges: forward / A side of ins_
@@ -847,7 +1017,6 @@ class BytecodeProc final : public dataflow::Process
     std::vector<Token> scratch_; ///< reused bundle-transfer buffer
 
     // source
-    sltf::TokenStream seed_;
     size_t pos_ = 0;
     // block
     std::vector<Word> regs_;
@@ -878,38 +1047,38 @@ class BytecodeProc final : public dataflow::Process
 
 } // namespace
 
+dataflow::Process *
+instantiate(dataflow::Engine &engine, const BytecodeProgram &prog,
+            const BcInst &inst, const std::vector<Channel *> &chans,
+            MachineMemory &mem)
+{
+    return engine.make<BytecodeProc>(prog, inst, chans, mem);
+}
+
 /**
  * Everything one context instantiates once and rebinds per request:
- * the engine (which owns the channels and processes), raw views onto
- * both for the per-run reset sweep, and the machine memory whose
- * DRAM/stats pointers move from request to request. BytecodeProc has
- * internal linkage, which is why the context is pimpl'd.
+ * the machine memory whose DRAM/stats/args pointers move from request
+ * to request, and the engine, which owns the channels and one process
+ * per instruction. Declared in that order so the memory outlives the
+ * processes that reference it.
  */
 struct ExecutionContext::Impl
 {
     const BytecodeProgram &prog;
+    MachineMemory mem;
     dataflow::Engine engine;
-    std::vector<Channel *> chans;
-    std::vector<BytecodeProc *> procs;
-    std::shared_ptr<MachineMemory> mem;
     uint64_t runs = 0;
     bool poisoned = false;
 
     Impl(const BytecodeProgram &p, const ContextOptions &opts)
-        : prog(p), engine(dataflow::Engine::Policy::worklist),
-          mem(std::make_shared<MachineMemory>())
+        : prog(p), engine(dataflow::Engine::Policy::worklist)
     {
-        mem->hoistArena = opts.hoistAllocators;
-        chans.resize(prog.numLinks, nullptr);
+        mem.hoistArena = opts.hoistAllocators;
+        std::vector<Channel *> chans(prog.numLinks, nullptr);
         for (size_t i = 0; i < prog.numLinks; ++i)
             chans[i] = engine.channel(prog.linkNames[i]);
-        procs.reserve(prog.insts.size());
-        for (const BcInst &inst : prog.insts) {
-            // Seeded with arg 0 for now; every run() re-seeds from the
-            // request's actual arguments before the engine moves.
-            procs.push_back(
-                engine.make<BytecodeProc>(prog, inst, chans, mem, 0));
-        }
+        for (const BcInst &inst : prog.insts)
+            instantiate(engine, prog, inst, chans, mem);
     }
 };
 
@@ -953,19 +1122,12 @@ ExecutionContext::run(lang::DramImage &dram,
     stats.graphLinks = im.prog.numLinks;
 
     // Full per-request reset *before* the run, so a request never
-    // inherits residue: memory pointed at this request's image/stats,
-    // channels to empty, every instruction's mode machines re-armed
-    // with this request's arguments.
-    im.mem->rebind(dram, stats);
-    im.mem->beginRun();
-    for (Channel *ch : im.chans)
-        ch->resetForReuse();
-    for (size_t i = 0; i < im.procs.size(); ++i) {
-        const BcInst &inst = im.prog.insts[i];
-        const int32_t arg_value =
-            inst.op == BcOp::source && inst.arg >= 0 ? args[inst.arg] : 0;
-        im.procs[i]->reset(arg_value);
-    }
+    // inherits residue: memory pointed at this request's
+    // image/stats/args, channels to empty, every instruction's mode
+    // machines re-armed.
+    im.mem.rebind(dram, stats, args);
+    im.mem.beginRun();
+    im.engine.reset();
 
     im.engine.setPolicy(policy);
     // Pessimistic: cleared only when the run reaches quiescence. A
@@ -974,8 +1136,8 @@ ExecutionContext::run(lang::DramImage &dram,
     // run safe regardless, but pools read this to retire the context.
     im.poisoned = true;
     stats.engineRounds = im.engine.run(max_rounds);
-    detail::collectRunStats(im.engine, im.prog.numLinks, stats);
-    stats.sramParkedEnd = im.mem->parkedNow;
+    collectRunStats(im.engine, im.prog.numLinks, stats);
+    stats.sramParkedEnd = im.mem.parkedNow;
     im.poisoned = false;
     ++im.runs;
     return stats;

@@ -1,24 +1,22 @@
 /**
  * @file
- * Bytecode executor: the compile-once form of a dataflow graph.
+ * Bytecode executor: the one executor of dataflow graphs.
  *
- * graph::execute(Dfg, ...) re-derives everything about a node on every
- * instantiation — bundle vectors, per-firing register files, a
- * std::function per block — and the resulting step objects pay a heap
- * allocation triple plus an indirect call per block firing. For a
- * compile-once/run-many serving path that overhead is pure dispatch
- * tax. BytecodeProgram::compile flattens the optimized Dfg once into
+ * BytecodeProgram::compile flattens a Dfg once into
  * position-independent tables: one fixed-width instruction per node,
  * channel *indices* (not pointers) into a shared operand pool, and the
  * block bodies concatenated into a single BlockOp table dispatched
- * through graph::evalPureOp / detail::evalOp. The interpreter
- * (bytecode.cc) instantiates each instruction as one dataflow::Process
- * whose stepOnce() is a single switch over the opcode, so the program
- * plugs into the existing dataflow::Engine unchanged — both
- * scheduling policies (roundRobin / worklist) run bytecode
- * exactly as they run step objects, and the step-object executor
- * remains the differential oracle: both executors must produce
- * bit-identical DRAM images and per-link token/barrier counts.
+ * through graph::evalPureOp. instantiate() turns one instruction into
+ * one dataflow::Process whose stepOnce() is a single switch over the
+ * opcode, so a program runs on the dataflow::Engine under either
+ * scheduling policy (roundRobin / worklist). ExecutionContext builds
+ * every process of a run that way and rebinds them per request;
+ * execute() is the one-shot form. A raw Dfg runs as
+ * execute(BytecodeProgram::compile(dfg), ...).
+ *
+ * Correctness oracles: DRAM bit-identity with the AST interpreter,
+ * bit-identical link traffic under both policies, and hand-built
+ * SLTF streams per opcode (tests/dataflow/test_primitives.cc).
  */
 
 #ifndef REVET_GRAPH_BYTECODE_HH
@@ -38,17 +36,6 @@ namespace revet
 {
 namespace graph
 {
-
-/** Which implementation runs a compiled graph (CompileOptions::executor).
- * Semantically interchangeable by construction; the step-object path is
- * the reference oracle, the bytecode path is the fast dispatch loop. */
-enum class ExecutorKind
-{
-    stepObjects, ///< one virtual Process object per node (graph/exec.cc)
-    bytecode,    ///< flat compiled tables + switch dispatch (default)
-};
-
-std::string toString(ExecutorKind kind);
 
 /** Bytecode opcodes: one per streaming-primitive role. The FIFO and
  * keyed restore variants get distinct opcodes (they share a NodeKind
@@ -89,8 +76,7 @@ const char *toString(BcOp op);
  *    its lane-to-register maps in BytecodeProgram::regs (inRegs is
  *    nIns entries, outRegs is nOuts entries).
  *  - name: index into BytecodeProgram::names — "kind(node#id)", so
- *    Engine::stallReport() names bytecode processes as usefully as
- *    step objects.
+ *    Engine::stallReport() names the opcode and its source node.
  */
 struct BcInst
 {
@@ -114,7 +100,7 @@ struct BcInst
 /**
  * A dataflow graph compiled to flat tables. Immutable after compile()
  * and holds no pointers, so one program can be cached (see
- * core::CompiledProgram) and executed any number of times, under any
+ * core::CompiledArtifact) and executed any number of times, under any
  * scheduling policy, from any thread.
  */
 struct BytecodeProgram
@@ -132,6 +118,26 @@ struct BytecodeProgram
      * graph is not retained. */
     static BytecodeProgram compile(const Dfg &dfg);
 };
+
+namespace detail
+{
+struct MachineMemory;
+} // namespace detail
+
+/**
+ * Instantiate @p inst (one of @p prog's instructions) as a process of
+ * @p engine, reading and writing chans[link id] and sharing @p mem with
+ * the run's other instructions. The one instantiation path: every
+ * ExecutionContext builds its processes here, and tests use it to run
+ * single instructions on hand-built streams over channels and
+ * capacities of their choosing. @p prog, @p mem and the channels must
+ * outlive the process.
+ */
+dataflow::Process *instantiate(dataflow::Engine &engine,
+                               const BytecodeProgram &prog,
+                               const BcInst &inst,
+                               const std::vector<dataflow::Channel *> &chans,
+                               detail::MachineMemory &mem);
 
 /** Per-context executor knobs. Derived from core::CompileOptions by
  * the serving layer; semantics-neutral (results never depend on them,
@@ -176,9 +182,9 @@ class ExecutionContext
 
     /**
      * Serve one request: reset all per-run state, bind @p dram /
-     * @p args, and run the program to quiescence. Identical results
-     * contract to graph::execute — the policy and whether the context
-     * is fresh or reused are observable only through stats.
+     * @p args, and run the program to quiescence. The policy and
+     * whether the context is fresh or reused are observable only
+     * through stats, never through results.
      * @throws std::runtime_error on machine-model violations,
      * livelock, or missing arguments (the context remains
      * reusable: the next run() starts from a full reset, but
@@ -207,12 +213,11 @@ class ExecutionContext
 };
 
 /**
- * Execute compiled @p prog against @p dram with main's @p args.
- * Identical contract to graph::execute(const Dfg &, ...) — same stats,
- * same policies, same machine-model exceptions — and bit-identical
- * DRAM/link traffic to it on every program (the differential suite
- * enforces this). One-shot convenience over ExecutionContext: builds a
- * fresh context, runs once, tears it down.
+ * Execute compiled @p prog against @p dram with main's @p args: a
+ * fresh context, run once, torn down. @p policy is observable only
+ * through stats.
+ * @throws std::runtime_error on machine-model violations, livelock,
+ * a network that fails to drain, or missing arguments.
  */
 ExecStats execute(const BytecodeProgram &prog, lang::DramImage &dram,
                   const std::vector<int32_t> &args,

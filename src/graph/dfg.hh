@@ -6,7 +6,7 @@
  * straight-line element-wise op sequences (one virtual context each,
  * split against the Table II limits by the resource model); every other
  * node kind is one of the Section III-B streaming primitives. The same
- * graph drives the functional executor (graph/exec.hh), the resource
+ * graph drives the bytecode executor (graph/bytecode.hh), the resource
  * model (graph/resources.hh), and the cycle-level simulator (sim/).
  */
 

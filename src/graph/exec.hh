@@ -1,12 +1,13 @@
 /**
  * @file
- * Functional executor for compiled dataflow graphs.
+ * What one dataflow execution reports.
  *
- * Instantiates a Dfg as a network of streaming primitives (dataflow/)
- * over a DramImage and runs it to quiescence. This is the semantic
- * reference for the compiled path: tests require its DRAM output to be
- * bit-identical to the AST interpreter's. The per-link token counts it
- * returns feed the link-bandwidth analysis and the cycle model.
+ * ExecStats is the result of graph::execute and
+ * graph::ExecutionContext::run (graph/bytecode.hh): scheduler counters,
+ * memory traffic, park-slot occupancy and per-link traffic. Tests hold
+ * a run's DRAM output bit-identical to the AST interpreter's; the
+ * per-link token counts feed the link-bandwidth analysis and the cycle
+ * model.
  */
 
 #ifndef REVET_GRAPH_EXEC_HH
@@ -16,8 +17,6 @@
 #include <vector>
 
 #include "dataflow/engine.hh"
-#include "graph/dfg.hh"
-#include "lang/dram_image.hh"
 
 namespace revet
 {
@@ -36,9 +35,10 @@ struct ExecStats
     uint64_t schedIdleSteps = 0;
     uint64_t schedStepsSkipped = 0;
     uint64_t schedVerifyPasses = 0;
-    /** stepOnce() quanta that made progress. Executor-invariant for a
-     * given graph and policy (each quantum moves the same tokens), so
-     * bench/exec_dispatch.cc can report dispatch cost per quantum. */
+    /** stepOnce() quanta that made progress. Fixed for a given graph
+     * and input under either policy (tests/graph/test_bytecode.cc pins
+     * it per app), so bench/exec_dispatch.cc reports dispatch cost per
+     * quantum. */
     uint64_t schedQuanta = 0;
     uint64_t dramReadElems = 0;
     uint64_t dramWriteElems = 0;
@@ -85,20 +85,6 @@ struct ExecStats
      * constant must observe allEqual with the predicted word. */
     std::vector<dataflow::Channel::ValueWatch> linkValues;
 };
-
-/**
- * Execute @p dfg against @p dram with main's @p args.
- *
- * @param policy scheduling policy for the streaming engine; all
- *        policies are semantically interchangeable (Kahn-network
- *        determinism) and the worklist default is the fast path.
- * @throws std::runtime_error on machine-model violations or livelock.
- */
-ExecStats execute(const Dfg &dfg, lang::DramImage &dram,
-                  const std::vector<int32_t> &args,
-                  uint64_t max_rounds = dataflow::Engine::defaultMaxRounds,
-                  dataflow::Engine::Policy policy =
-                      dataflow::Engine::Policy::worklist);
 
 } // namespace graph
 } // namespace revet

@@ -1,16 +1,12 @@
 /**
  * @file
- * Shared machine-state plumbing for the two dataflow executors.
+ * Machine state shared by the processes of one bytecode run.
  *
- * The step-object executor (exec.cc) and the bytecode executor
- * (bytecode.cc) are two independent implementations of the same
- * abstract machine — the differential test suite holds them DRAM- and
- * link-traffic-bit-identical — but the *memory* side of that machine
- * (DRAM image, SRAM heap, park-slot accounting, stats) must be one
- * definition: a drift in, say, rmw normalization would be a semantic
- * fork, not an executor variant. This header is that single
- * definition; it is internal to src/graph and not part of the public
- * executor API.
+ * Every bytecode instruction of a run reads and writes one
+ * MachineMemory: the DRAM image, the SRAM heap, park-slot accounting,
+ * the stats block and main's arguments. It is internal to src/graph
+ * and not part of the public executor API; graph::instantiate() takes
+ * one so tests can run single instructions on hand-built streams.
  */
 
 #ifndef REVET_GRAPH_EXEC_DETAIL_HH
@@ -19,8 +15,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "dataflow/engine.hh"
-#include "graph/dfg.hh"
 #include "graph/exec.hh"
 #include "lang/dram_image.hh"
 
@@ -33,26 +27,21 @@ namespace detail
 
 /** Shared mutable memory state: DRAM image + dynamically allocated SRAM
  * buffers (the MU allocator pool, unbounded in functional mode).
- * Shared by every block process of one engine, which runs them all on
- * one thread, so access needs no synchronisation.
+ * Shared by every process of one engine, which runs them all on one
+ * thread, so access needs no synchronisation.
  *
- * The DRAM image and stats block are *per-request* state referenced
- * through rebindable pointers: a reusable execution context
+ * The DRAM image, stats block and arguments are *per-request* state
+ * referenced through rebindable pointers: an execution context
  * (graph::ExecutionContext) keeps one MachineMemory for its lifetime
- * and points it at each request's image/stats via rebind() +
- * beginRun(). One-shot executors bind at construction and never
- * rebind. */
+ * and points it at each request's image/stats/args via rebind() +
+ * beginRun(). */
 struct MachineMemory
 {
-    MachineMemory() = default;
-
-    MachineMemory(lang::DramImage &dram_ref, ExecStats &stats_ref)
-        : dram(&dram_ref), stats(&stats_ref)
-    {}
-
     lang::DramImage *dram = nullptr;
     std::vector<std::vector<uint32_t>> heap;
     ExecStats *stats = nullptr;
+    /** main's arguments; a source instruction emits its slot. */
+    const std::vector<int32_t> *args = nullptr;
     /** Park slots currently occupied across all park/restore pairs;
      * the high-water mark lands in ExecStats::sramParkedPeak and the
      * post-run residue in ExecStats::sramParkedEnd. */
@@ -68,17 +57,18 @@ struct MachineMemory
      * allocates from scratch. */
     bool hoistArena = false;
 
-    /** Point this memory at the next request's image/stats and clear
-     * all per-run state. Setup-only (no run in flight). */
+    /** Point this memory at the next request's image/stats/args.
+     * Setup-only (no run in flight). */
     void
-    rebind(lang::DramImage &dram_ref, ExecStats &stats_ref)
+    rebind(lang::DramImage &dram_ref, ExecStats &stats_ref,
+           const std::vector<int32_t> &args_ref)
     {
         dram = &dram_ref;
         stats = &stats_ref;
+        args = &args_ref;
     }
 
-    /** Reset per-run state; call before every run (the one-shot
-     * executors rely on the constructor state instead). */
+    /** Reset per-run state; call before every run. */
     void
     beginRun()
     {
@@ -123,27 +113,6 @@ struct MachineMemory
         return &heap[handle];
     }
 };
-
-/**
- * Evaluate one block op over @p regs. Pure ALU ops go through
- * graph::evalPureOp; memory ops (SRAM heap, DRAM image, rmw) update
- * @p mem and its stats. Defined in exec.cc; the
- * bytecode interpreter dispatches its flattened op table through the
- * same function so the two executors cannot drift on memory-op
- * semantics.
- */
-Word evalOp(const BlockOp &op, std::vector<Word> &regs,
-            MachineMemory &mem);
-
-/**
- * Post-run bookkeeping shared by both executors: copy the engine's
- * scheduler counters into @p stats, throw the stall report if the
- * network failed to drain, and harvest per-link traffic/value watches
- * (the engine's first @p num_links channels are the graph links, in
- * link-id order). Defined in exec.cc.
- */
-void collectRunStats(dataflow::Engine &engine, size_t num_links,
-                     ExecStats &stats);
 
 } // namespace detail
 } // namespace graph

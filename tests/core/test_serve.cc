@@ -8,9 +8,9 @@
  * Whether a request ran on a fresh context or a recycled one, alone or
  * concurrently with others on the same shared artifact — its DRAM
  * image and per-link token/barrier counts must be bit-identical to a
- * serial one-shot run of the step-object oracle. Everything the
- * serving layer is allowed to change is in stats (arena-reuse
- * counters, pool accounting, latency).
+ * serial one-shot run on a fresh context, whose DRAM in turn matches
+ * the AST interpreter. Everything the serving layer is allowed to
+ * change is in stats (arena-reuse counters, pool accounting, latency).
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@
 
 using namespace revet;
 using dataflow::Engine;
-using graph::ExecutorKind;
 
 namespace
 {
@@ -48,17 +47,23 @@ struct Oracle
     std::vector<uint64_t> linkBarriers;
 };
 
-/** Serial step-object run: the reference the serving path must match
- * bit for bit (the step/bytecode differential suite separately pins
- * the two executors to each other). */
+/** Serial one-shot run on a fresh context: the reference the serving
+ * path must match bit for bit. Its DRAM is checked against the AST
+ * interpreter's. */
 Oracle
-stepObjectOracle(const CompiledArtifact &artifact, const apps::App &app,
-                 int scale)
+serialOracle(const CompiledArtifact &artifact, const apps::App &app,
+             int scale)
 {
+    lang::DramImage ref(artifact.hir());
+    auto ref_args = app.generate(ref, scale);
+    artifact.interpret(ref, ref_args);
+
     lang::DramImage dram(artifact.hir());
     auto args = app.generate(dram, scale);
-    auto stats =
-        artifact.executeWith(ExecutorKind::stepObjects, dram, args);
+    auto stats = graph::execute(artifact.bytecode(), dram, args);
+    EXPECT_EQ(dramBytes(dram), dramBytes(ref))
+        << app.name << " scale " << scale
+        << ": one-shot run diverged from the interpreter";
     return {dramBytes(dram), stats.linkTokens, stats.linkBarriers};
 }
 
@@ -73,7 +78,7 @@ runConcurrentBattery()
         const std::vector<int> scales = {4, 9, 16, 7};
         std::map<int, Oracle> oracles;
         for (int s : scales)
-            oracles.emplace(s, stepObjectOracle(*artifact, app, s));
+            oracles.emplace(s, serialOracle(*artifact, app, s));
 
         constexpr int kRequests = 16;
         std::vector<serve::Request> requests(kRequests);
@@ -135,7 +140,7 @@ TEST(ServeConcurrency, RawThreadsShareOneArtifact)
     const std::vector<int> scales = {3, 8, 13, 6};
     std::map<int, Oracle> oracles;
     for (int s : scales)
-        oracles.emplace(s, stepObjectOracle(*artifact, app, s));
+        oracles.emplace(s, serialOracle(*artifact, app, s));
 
     constexpr int kThreads = 4;
     constexpr int kPerThread = 5;
@@ -364,16 +369,12 @@ TEST(ServeCache, FingerprintStableAndOptionSensitive)
     perturbed([](CompileOptions &o) {
         o.graph.hoistAllocators = false;
     });
-    perturbed([](CompileOptions &o) {
-        o.executor = ExecutorKind::stepObjects;
-    });
 
     // Spot-pin the serialization format so accidental reorderings
     // (which silently invalidate every persisted fingerprint) show up.
     const std::string key = canonicalOptions(base);
     EXPECT_NE(key.find("hoistAllocators=1"), std::string::npos);
     EXPECT_NE(key.find("muBanks=16"), std::string::npos);
-    EXPECT_NE(key.find("executor=bytecode"), std::string::npos);
 }
 
 TEST(ServeCache, ConcurrentGetsCompileOnce)

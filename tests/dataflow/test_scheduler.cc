@@ -10,22 +10,21 @@
  * match the AST reference interpreter. Kahn-network determinism says
  * scheduling order cannot be observable; these tests certify our
  * schedulers actually keep that promise, so the hot path can be
- * refactored without risking the semantic-reference guarantee in
- * graph/exec.hh.
+ * refactored without risking bit-identity with the interpreter.
  *
- * The backpressure tests exercise the bounded-channel fixes: push on a
+ * The engine, backpressure and stall-report tests run bytecode
+ * instructions on hand-built streams (bytecode_harness.hh): push on a
  * full channel throws (capacity 1 and the degenerate capacity 0),
  * full -> non-full transitions wake blocked producers, and stall
- * reports name internally blocked primitives even when every channel
+ * reports name internally blocked instructions even when every channel
  * is empty.
  */
 
 #include <gtest/gtest.h>
 
 #include "apps/apps.hh"
+#include "bytecode_harness.hh"
 #include "core/revet.hh"
-#include "dataflow/engine.hh"
-#include "graph/exec.hh"
 #include "interp/interp.hh"
 #include "lang/parse.hh"
 #include "passes/passes.hh"
@@ -33,6 +32,7 @@
 
 using namespace revet;
 using namespace revet::dataflow;
+using namespace revet::bytecode_test;
 using lang::DramImage;
 using revet::sltf::StreamBuilder;
 using revet::sltf::TokenStream;
@@ -278,52 +278,62 @@ TEST(SchedulerEquivalence, LanguageFixtures)
 // ---------------------------------------------------------------------
 // Worklist scheduler mechanics.
 
+namespace
+{
+
+/** Append a chain of @p stages "+1" blocks after @p cur; returns the
+ * chain's last channel. */
+Channel *
+incChain(BytecodeHarness &h, Channel *cur, const std::string &prefix,
+         int stages, size_t capacity)
+{
+    for (int stage = 0; stage < stages; ++stage) {
+        Channel *next =
+            h.channel(prefix + ".s" + std::to_string(stage), capacity);
+        h.block("ew", {cur}, {next},
+                {cnst(1, 1), op(graph::OpKind::add, 2, 0, 1)}, {2});
+        cur = next;
+    }
+    return cur;
+}
+
+} // namespace
+
 TEST(WorklistScheduler, SparsePipelineSkipsIdleStages)
 {
     // 8 identical 8-stage pipelines; only pipeline 0 has input. The
     // worklist policy must not burn steps scanning the 7 idle replicas.
-    Engine rr(Engine::Policy::roundRobin);
-    Engine wl(Engine::Policy::worklist);
+    BytecodeHarness rr(Engine::Policy::roundRobin);
+    BytecodeHarness wl(Engine::Policy::worklist);
     TokenStream collected_rr;
-    for (Engine *e : {&rr, &wl}) {
-        Sink *sink = nullptr;
+    for (BytecodeHarness *h : {&rr, &wl}) {
+        StreamSink *sink = nullptr;
         for (int rep = 0; rep < 8; ++rep) {
-            Channel *cur =
-                e->channel("p" + std::to_string(rep) + ".in", 1);
+            const std::string prefix = "p" + std::to_string(rep);
+            Channel *cur = h->channel(prefix + ".in", 1);
             if (rep == 0) {
                 StreamBuilder sb;
                 for (int i = 0; i < 50; ++i)
                     sb.d(i);
                 sb.b(1);
-                e->make<Source>("src", cur, sb.build());
+                h->inject("src", cur, sb.build());
             }
-            for (int stage = 0; stage < 8; ++stage) {
-                Channel *next = e->channel(
-                    "p" + std::to_string(rep) + ".s" +
-                        std::to_string(stage),
-                    1);
-                e->make<ElementWise>(
-                    "ew", Bundle{cur}, Bundle{next},
-                    [](const std::vector<Word> &in,
-                       std::vector<Word> &out) {
-                        out.push_back(in[0] + 1);
-                    });
-                cur = next;
-            }
-            Sink *s = e->make<Sink>("sink", cur);
+            cur = incChain(*h, cur, prefix, 8, 1);
+            StreamSink *s = h->capture("sink", cur);
             if (rep == 0)
                 sink = s;
         }
-        e->run();
-        EXPECT_TRUE(e->drained());
+        h->build();
+        h->engine.run();
+        EXPECT_TRUE(h->engine.drained());
         ASSERT_NE(sink, nullptr);
-        if (e == &rr)
+        if (h == &rr)
             collected_rr = sink->collected();
         else
             EXPECT_EQ(sink->collected(), collected_rr);
     }
-    const SchedStats &srr = rr.schedStats();
-    const SchedStats &swl = wl.schedStats();
+    const SchedStats &srr = rr.engine.schedStats();
+    const SchedStats &swl = wl.engine.schedStats();
     EXPECT_EQ(swl.missedWakeups, 0u);
     EXPECT_LT(swl.steps, srr.steps / 2)
         << "worklist should step far fewer primitives on a sparse graph";
@@ -336,17 +346,18 @@ TEST(WorklistScheduler, ExternalPushesBetweenRunsAreScheduled)
 {
     // Re-running after out-of-band pushes (the ForwardMerge test
     // pattern) must work: run() re-seeds the ready deque.
-    Engine e;
-    auto *in = e.channel("in");
-    auto *out = e.channel("out");
-    e.make<Flatten>("flat", in, out);
-    auto *sink = e.make<Sink>("sink", out);
-    e.run();
+    BytecodeHarness h;
+    auto *in = h.channel("in");
+    auto *out = h.channel("out");
+    h.flatten("flat", in, out);
+    auto *sink = h.capture("sink", out);
+    h.build();
+    h.engine.run();
     EXPECT_TRUE(sink->collected().empty());
     in->pushAll(StreamBuilder().d(5).b(2));
-    e.run();
+    h.engine.run();
     EXPECT_EQ(sink->collected(), (TokenStream)StreamBuilder().d(5).b(1));
-    EXPECT_TRUE(e.drained());
+    EXPECT_TRUE(h.engine.drained());
 }
 
 TEST(WorklistScheduler, QuiescingInExactlyMaxRoundsIsNotLivelock)
@@ -355,46 +366,43 @@ TEST(WorklistScheduler, QuiescingInExactlyMaxRoundsIsNotLivelock)
     // count as a round and trip the cap on networks that finish right
     // at max_rounds.
     for (Engine::Policy policy : kPolicies) {
-        Engine e(policy);
-        e.setBurst(1); // one token per round -> deterministic round count
-        auto *in = e.channel("in");
-        auto *out = e.channel("out");
-        e.make<Source>("src", in, StreamBuilder().d(1).b(1));
-        e.make<Sink>("sink", out);
-        e.make<Flatten>("flat", in, out);
+        // One token per round -> deterministic round count.
+        auto build = [](BytecodeHarness &h) {
+            h.engine.setBurst(1);
+            auto *in = h.channel("in");
+            auto *out = h.channel("out");
+            h.inject("src", in, StreamBuilder().d(1).b(1));
+            h.capture("sink", out);
+            h.flatten("flat", in, out);
+            h.build();
+        };
         // First measure the exact working-round count...
         uint64_t rounds = 0;
         {
-            Engine m(policy);
-            m.setBurst(1);
-            auto *mi = m.channel("in");
-            auto *mo = m.channel("out");
-            m.make<Source>("src", mi, StreamBuilder().d(1).b(1));
-            m.make<Sink>("sink", mo);
-            m.make<Flatten>("flat", mi, mo);
-            rounds = m.run();
+            BytecodeHarness m(policy);
+            build(m);
+            rounds = m.engine.run();
         }
         ASSERT_GT(rounds, 0u);
         // ...then a cap of exactly that count must succeed.
-        EXPECT_EQ(e.run(rounds), rounds);
-        EXPECT_TRUE(e.drained());
+        BytecodeHarness h(policy);
+        build(h);
+        EXPECT_EQ(h.engine.run(rounds), rounds);
+        EXPECT_TRUE(h.engine.drained());
     }
 }
 
 TEST(WorklistScheduler, LivelockMessageNamesWorkingRounds)
 {
-    Engine e;
-    auto *a = e.channel("a");
-    auto *b = e.channel("b");
+    BytecodeHarness h;
+    auto *a = h.channel("a");
+    auto *b = h.channel("b");
+    h.block("fwd", {a}, {b}, {}, {0});
+    h.block("back", {b}, {a}, {}, {0});
+    h.build();
     a->push(Token::data(1));
-    auto passthrough = [](const std::vector<Word> &in,
-                          std::vector<Word> &out) {
-        out.push_back(in[0]);
-    };
-    e.make<ElementWise>("fwd", Bundle{a}, Bundle{b}, passthrough);
-    e.make<ElementWise>("back", Bundle{b}, Bundle{a}, passthrough);
     try {
-        e.run(100);
+        h.engine.run(100);
         FAIL() << "expected livelock throw";
     } catch (const std::runtime_error &err) {
         EXPECT_NE(std::string(err.what()).find("livelock"),
@@ -409,35 +417,36 @@ TEST(WorklistScheduler, LivelockMessageNamesWorkingRounds)
 
 TEST(EngineFaults, PrimitiveExceptionReachesCallerAndEngineRecovers)
 {
-    // A throwing primitive must surface its exception from run() under
-    // every policy, and the engine must stay usable: the next run()
-    // re-seeds its scheduler state and finishes the remaining work.
+    // A throwing instruction must surface its exception from run()
+    // under every policy, and the engine must stay usable: the next
+    // run() re-seeds its scheduler state and finishes the remaining
+    // work. The block faults (division by zero) on token 7 only.
     for (Engine::Policy policy : kPolicies) {
-        Engine e(policy);
-        bool fault = true;
-        auto *a = e.channel("a");
-        auto *b = e.channel("b");
-        e.make<Source>("src", a, StreamBuilder().d(7).d(8).b(1));
-        e.make<ElementWise>("boom", Bundle{a}, Bundle{b},
-                            [&fault](const std::vector<Word> &in,
-                                     std::vector<Word> &out) {
-                                if (fault)
-                                    throw std::runtime_error(
-                                        "injected fault");
-                                out.push_back(in[0] + 100);
-                            });
-        auto *sink = e.make<Sink>("sink", b);
+        BytecodeHarness h(policy);
+        auto *a = h.channel("a");
+        auto *b = h.channel("b");
+        h.inject("src", a, StreamBuilder().d(7).d(8).b(1));
+        // 1 / (x - 7), discarded, then x + 100.
+        h.block("boom", {a}, {b},
+                {cnst(1, 1), cnst(2, 7), op(graph::OpKind::sub, 3, 0, 2),
+                 op(graph::OpKind::divu, 4, 1, 3), cnst(5, 100),
+                 op(graph::OpKind::add, 6, 0, 5)},
+                {6});
+        auto *sink = h.capture("sink", b);
+        h.build();
         try {
-            e.run();
-            FAIL() << "expected the primitive's exception to propagate";
+            h.engine.run();
+            FAIL() << "expected the instruction's exception to propagate";
         } catch (const std::runtime_error &err) {
-            EXPECT_NE(std::string(err.what()).find("injected fault"),
+            EXPECT_NE(std::string(err.what()).find("division by zero"),
+                      std::string::npos)
+                << err.what();
+            EXPECT_NE(std::string(err.what()).find("boom"),
                       std::string::npos)
                 << err.what();
         }
-        fault = false;
-        e.run();
-        EXPECT_TRUE(e.drained());
+        h.engine.run();
+        EXPECT_TRUE(h.engine.drained());
         // The faulting firing consumed token 7; the rest gets through.
         EXPECT_EQ(sink->collected(),
                   (TokenStream)StreamBuilder().d(108).b(1));
@@ -475,24 +484,20 @@ TEST(Backpressure, CapacityZeroChannelRejectsEveryPush)
 TEST(Backpressure, CapacityOnePipelineDrainsUnderEveryPolicy)
 {
     for (Engine::Policy policy : kPolicies) {
-        Engine e(policy);
-        auto *a = e.channel("a", 1);
-        auto *b = e.channel("b", 1);
-        auto *c = e.channel("c", 1);
+        BytecodeHarness h(policy);
+        auto *a = h.channel("a", 1);
+        auto *c = h.channel("c", 1);
         StreamBuilder sb;
         for (int i = 0; i < 100; ++i)
             sb.d(i);
         sb.b(1);
-        e.make<Source>("src", a, sb.build());
-        e.make<ElementWise>(
-            "inc", Bundle{a}, Bundle{b},
-            [](const std::vector<Word> &in, std::vector<Word> &out) {
-                out.push_back(in[0] + 1);
-            });
-        e.make<Flatten>("flat", b, c);
-        auto *sink = e.make<Sink>("sink", c);
-        e.run();
-        EXPECT_TRUE(e.drained());
+        h.inject("src", a, sb.build());
+        auto *b = incChain(h, a, "inc", 1, 1);
+        h.flatten("flat", b, c);
+        auto *sink = h.capture("sink", c);
+        h.build();
+        h.engine.run();
+        EXPECT_TRUE(h.engine.drained());
         ASSERT_EQ(sink->collected().size(), 100u);
         for (size_t i = 0; i < 100; ++i)
             EXPECT_EQ(sink->collected()[i].word(), i + 1);
@@ -501,19 +506,21 @@ TEST(Backpressure, CapacityOnePipelineDrainsUnderEveryPolicy)
 
 TEST(Backpressure, CapacityZeroOutputStallsWithoutLivelock)
 {
-    // A source feeding a capacity-0 channel can never make progress;
-    // the engine must quiesce (not spin) and the stall report must name
-    // the blocked source even though every channel is empty.
+    // A source instruction feeding a capacity-0 channel can never make
+    // progress; the engine must quiesce (not spin) and the stall report
+    // must name the blocked source even though every channel is empty.
     for (Engine::Policy policy : kPolicies) {
-        Engine e(policy);
-        auto *dead = e.channel("dead", 0);
-        auto *src =
-            e.make<Source>("stuckSrc", dead, StreamBuilder().d(1).b(1));
-        e.run();
-        EXPECT_FALSE(src->done());
-        EXPECT_TRUE(e.drained()) << "capacity-0 channel holds nothing";
-        std::string report = e.stallReport();
-        EXPECT_NE(report.find("stuckSrc"), std::string::npos) << report;
+        BytecodeHarness h(policy);
+        h.args = {1};
+        auto *dead = h.channel("dead", 0);
+        h.node(graph::NodeKind::source, "stuckSrc", {}, {dead});
+        h.build();
+        h.engine.run();
+        EXPECT_TRUE(h.engine.drained()) << "capacity-0 channel holds nothing";
+        std::string report = h.engine.stallReport();
+        EXPECT_NE(report.find("source(stuckSrc#0): 2 tokens pending"),
+                  std::string::npos)
+            << report;
         EXPECT_NE(report.find("full outputs"), std::string::npos)
             << report;
     }
@@ -524,44 +531,45 @@ TEST(Backpressure, FullToNonFullTransitionWakesProducer)
     // Producer blocks on a full bounded channel; only the consumer's
     // pop can unblock it. If the worklist misses the full->non-full
     // wakeup, the quiescence rescan records it — assert it doesn't.
-    Engine e(Engine::Policy::worklist);
-    auto *narrow = e.channel("narrow", 1);
-    auto *wide = e.channel("wide");
+    BytecodeHarness h(Engine::Policy::worklist);
+    auto *narrow = h.channel("narrow", 1);
+    auto *wide = h.channel("wide");
     StreamBuilder sb;
     for (int i = 0; i < 32; ++i)
         sb.d(i);
     sb.b(1);
-    e.make<Source>("src", narrow, sb.build());
-    e.make<Flatten>("flat", narrow, wide);
-    auto *sink = e.make<Sink>("sink", wide);
-    e.run();
-    EXPECT_TRUE(e.drained());
+    h.inject("src", narrow, sb.build());
+    h.flatten("flat", narrow, wide);
+    auto *sink = h.capture("sink", wide);
+    h.build();
+    h.engine.run();
+    EXPECT_TRUE(h.engine.drained());
     EXPECT_EQ(sink->collected().size(), 32u);
-    EXPECT_EQ(e.schedStats().missedWakeups, 0u);
+    EXPECT_EQ(h.engine.schedStats().missedWakeups, 0u);
 }
 
 // ---------------------------------------------------------------------
-// Stall diagnostics (satellite: internally blocked primitives).
+// Stall diagnostics (internally blocked instructions).
 
 TEST(StallReport, NamesInternallyBlockedMergeWithEmptyChannels)
 {
-    // Drive a FwdBackMerge into drain mode, then leave its backedge
-    // empty: every channel is empty, yet the loop header is blocked
-    // waiting for its bundle peer. The old report said "none".
-    Engine e;
-    auto *fwd = e.channel("fwd");
-    auto *back = e.channel("back");
-    auto *out = e.channel("out");
-    e.make<Source>("src", fwd, StreamBuilder().d(1).b(1));
-    e.make<FwdBackMerge>("head", Bundle{fwd}, Bundle{back},
-                         Bundle{out});
-    e.make<Sink>("sink", out);
-    e.run();
-    EXPECT_TRUE(e.drained()) << "all channels drained";
-    std::string report = e.stallReport();
+    // Drive an fbMerge into drain mode, then leave its backedge empty:
+    // every channel is empty, yet the loop header is blocked waiting
+    // for its bundle peer.
+    BytecodeHarness h;
+    auto *fwd = h.channel("fwd");
+    auto *back = h.channel("back");
+    auto *out = h.channel("out");
+    h.inject("src", fwd, StreamBuilder().d(1).b(1));
+    h.fbMerge("head", {fwd}, {back}, {out});
+    h.node(graph::NodeKind::sink, "sink", {out}, {});
+    h.build();
+    h.engine.run();
+    EXPECT_TRUE(h.engine.drained()) << "all channels drained";
+    std::string report = h.engine.stallReport();
     EXPECT_NE(report.find("stalled channels: none"), std::string::npos)
         << report;
-    EXPECT_NE(report.find("head"), std::string::npos) << report;
+    EXPECT_NE(report.find("fbMerge(head#0)"), std::string::npos) << report;
     EXPECT_NE(report.find("mode=drain"), std::string::npos) << report;
     EXPECT_NE(report.find("starved inputs"), std::string::npos)
         << report;
@@ -569,18 +577,18 @@ TEST(StallReport, NamesInternallyBlockedMergeWithEmptyChannels)
 
 TEST(StallReport, IncludedInLivelockException)
 {
-    Engine e;
-    auto *fwd = e.channel("fwd");
-    auto *back = e.channel("back");
-    auto *out = e.channel("out", 1);
+    BytecodeHarness h;
+    auto *fwd = h.channel("fwd");
+    auto *back = h.channel("back");
+    auto *out = h.channel("out", 1);
     // The merge wants to push the drain barrier but the output stays
-    // full forever: no Sink consumes it. run() quiesces; force the
+    // full forever: nothing consumes it. run() quiesces; force the
     // exception path via a zero-round cap on a network with work.
-    e.make<Source>("src", fwd, StreamBuilder().d(1).d(2).b(1));
-    e.make<FwdBackMerge>("head", Bundle{fwd}, Bundle{back},
-                         Bundle{out});
+    h.inject("src", fwd, StreamBuilder().d(1).d(2).b(1));
+    h.fbMerge("head", {fwd}, {back}, {out});
+    h.build();
     try {
-        e.run(0);
+        h.engine.run(0);
         // Quiescing in zero working rounds would mean no work at all.
         FAIL() << "expected livelock throw at cap 0";
     } catch (const std::runtime_error &err) {

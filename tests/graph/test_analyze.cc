@@ -32,7 +32,7 @@
 #include "core/revet.hh"
 #include "graph/absint.hh"
 #include "graph/analyze.hh"
-#include "graph/exec.hh"
+#include "graph/bytecode.hh"
 #include "graph/lower.hh"
 #include "graph/optimize.hh"
 #include "lang/parse.hh"
@@ -740,11 +740,12 @@ TEST(AnalyzeDeadlock, KeyedParkMinSafeMatchesExecutedPeak)
     EXPECT_FALSE(hasErrors(rep.diagnostics));
 
     lang::Program prog = outProgram();
+    auto bc = graph::BytecodeProgram::compile(g);
     for (auto policy : {dataflow::Engine::Policy::roundRobin,
                         dataflow::Engine::Policy::worklist}) {
         DramImage dram(prog);
         dram.resize("out", n * 4);
-        auto stats = graph::execute(g, dram, {}, 1u << 24, policy);
+        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy);
         EXPECT_TRUE(stats.drained);
         EXPECT_EQ(stats.sramParkedPeak,
                   static_cast<uint64_t>(rep.parks[0].minSafeSlots))

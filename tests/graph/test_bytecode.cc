@@ -1,17 +1,19 @@
 /**
  * @file
- * Bytecode-vs-step differential suite.
+ * Link-traffic golden pins and the flat-table shape of the bytecode
+ * executor.
  *
- * The bytecode executor (graph/bytecode.hh) re-implements the entire
- * execution hot path; the step-object executor (graph/exec.hh) is its
- * semantic oracle. These tests hold the two bit-identical — same DRAM
- * bytes, same per-link token and barrier counts, same drained flag —
- * across every Table III app fixture and every language-construct
- * fixture, under both scheduling policies (roundRobin and worklist).
- * Kahn-network determinism
- * makes the executor, like the scheduler, unobservable through
- * results; this suite certifies the bytecode interpreter actually
- * keeps that promise, token for token.
+ * The pins hold every Table III app fixture and every
+ * language-construct fixture to the link traffic (a hash of the
+ * per-link token and barrier counts), scheduler quanta and park-slot
+ * high-water mark that the step-object executor produced — captured
+ * when that executor was deleted, at the last commit where both
+ * executors ran and agreed bit for bit. Each pin is asserted under
+ * both scheduling policies (roundRobin and worklist), next to DRAM
+ * bit-identity with the AST interpreter: Kahn-network determinism
+ * makes neither the policy nor the executor observable through
+ * results, and this suite holds the one remaining executor to that
+ * promise, token for token.
  *
  * The compiled-artifact tests below pin the shape of the flat tables
  * themselves (one instruction per node, concatenated op/reg pools,
@@ -32,7 +34,6 @@
 
 using namespace revet;
 using dataflow::Engine;
-using graph::ExecutorKind;
 using lang::DramImage;
 
 namespace
@@ -51,75 +52,68 @@ policyName(Engine::Policy policy)
     return "?";
 }
 
-struct ExecutorRun
+/** FNV-1a over every link's token count, then every link's barrier
+ * count, each as 8 little-endian bytes. */
+uint64_t
+trafficHash(const graph::ExecStats &stats)
 {
-    graph::ExecStats stats;
-    std::vector<std::vector<uint8_t>> dram_bytes;
-};
-
-ExecutorRun
-runWith(const CompiledProgram &prog, ExecutorKind executor,
-        const std::function<std::vector<int32_t>(DramImage &)> &generate,
-        Engine::Policy policy)
-{
-    ExecutorRun out;
-    DramImage dram(prog.hir());
-    auto args = generate(dram);
-    out.stats = prog.executeWith(executor, dram, args, policy);
-    for (int d = 0; d < dram.dramCount(); ++d)
-        out.dram_bytes.push_back(dram.bytes(d));
-    return out;
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (uint64_t v : stats.linkTokens)
+        mix(v);
+    for (uint64_t v : stats.linkBarriers)
+        mix(v);
+    return h;
 }
 
+/** What one fixture's run must reproduce under every policy. */
+struct Golden
+{
+    const char *label;
+    size_t links;
+    uint64_t traffic; ///< trafficHash
+    uint64_t quanta;  ///< ExecStats::schedQuanta
+    uint64_t parkedPeak; ///< ExecStats::sramParkedPeak
+};
+
+using Generate = std::function<std::vector<int32_t>(DramImage &)>;
+
 /**
- * Run @p source under both executors under every policy and assert
- * the four runs are pairwise bit-identical per policy.
+ * Run @p source under every policy; assert each run drains with no
+ * park residue, matches @p want, and leaves DRAM bit-identical to the
+ * AST interpreter's.
  */
 void
-expectExecutorsEquivalent(
-    const std::string &source,
-    const std::function<std::vector<int32_t>(DramImage &)> &generate,
-    const std::string &label)
+expectMatchesGolden(const std::string &source, const Generate &generate,
+                    const Golden &want)
 {
     auto prog = CompiledProgram::compile(source);
+    DramImage ref(prog.hir());
+    auto ref_args = generate(ref);
+    prog.interpret(ref, ref_args);
     for (Engine::Policy policy : kAllPolicies) {
         const std::string where =
-            label + " [" + policyName(policy) + "]";
-        ExecutorRun step =
-            runWith(prog, ExecutorKind::stepObjects, generate, policy);
-        ExecutorRun bc =
-            runWith(prog, ExecutorKind::bytecode, generate, policy);
-        EXPECT_TRUE(step.stats.drained) << where;
-        EXPECT_TRUE(bc.stats.drained) << where;
-        EXPECT_EQ(step.stats.linkTokens, bc.stats.linkTokens)
-            << where << ": per-link token counts diverged between "
-                        "executors";
-        EXPECT_EQ(step.stats.linkBarriers, bc.stats.linkBarriers)
-            << where << ": per-link barrier counts diverged between "
-                        "executors";
-        EXPECT_EQ(step.stats.dramReadElems, bc.stats.dramReadElems)
-            << where;
-        EXPECT_EQ(step.stats.dramWriteElems, bc.stats.dramWriteElems)
-            << where;
-        EXPECT_EQ(step.stats.dramReadBytes, bc.stats.dramReadBytes)
-            << where;
-        EXPECT_EQ(step.stats.dramWriteBytes, bc.stats.dramWriteBytes)
-            << where;
-        EXPECT_EQ(step.stats.sramAccesses, bc.stats.sramAccesses)
-            << where;
-        EXPECT_EQ(step.stats.sramParkedElems, bc.stats.sramParkedElems)
-            << where;
-        EXPECT_EQ(step.stats.sramParkedPeak, bc.stats.sramParkedPeak)
-            << where;
-        EXPECT_EQ(step.stats.sramParkedEnd, 0u) << where;
-        EXPECT_EQ(bc.stats.sramParkedEnd, 0u) << where;
-        EXPECT_EQ(step.stats.graphNodes, bc.stats.graphNodes) << where;
-        EXPECT_EQ(step.stats.graphLinks, bc.stats.graphLinks) << where;
-        ASSERT_EQ(step.dram_bytes.size(), bc.dram_bytes.size()) << where;
-        for (size_t d = 0; d < step.dram_bytes.size(); ++d) {
-            EXPECT_EQ(step.dram_bytes[d], bc.dram_bytes[d])
+            std::string(want.label) + " [" + policyName(policy) + "]";
+        DramImage dram(prog.hir());
+        auto args = generate(dram);
+        graph::ExecStats stats = prog.execute(dram, args, policy);
+        EXPECT_TRUE(stats.drained) << where;
+        EXPECT_EQ(stats.linkTokens.size(), want.links) << where;
+        EXPECT_EQ(trafficHash(stats), want.traffic)
+            << where << ": per-link token/barrier counts moved";
+        EXPECT_EQ(stats.schedQuanta, want.quanta) << where;
+        EXPECT_EQ(stats.sramParkedPeak, want.parkedPeak) << where;
+        EXPECT_EQ(stats.sramParkedEnd, 0u) << where;
+        ASSERT_EQ(dram.dramCount(), ref.dramCount()) << where;
+        for (int d = 0; d < dram.dramCount(); ++d) {
+            EXPECT_EQ(dram.bytes(d), ref.bytes(d))
                 << where << ": DRAM region " << d
-                << " diverged between executors";
+                << " diverged from the AST interpreter";
         }
     }
 }
@@ -127,26 +121,44 @@ expectExecutorsEquivalent(
 } // namespace
 
 // ---------------------------------------------------------------------
-// Differential: every Table III application fixture.
+// Golden link traffic: every Table III application fixture at scale 4.
 
 class BytecodeDifferential : public ::testing::TestWithParam<std::string>
 {};
 
+// The name records what the pins hold the executor to: the step-object
+// executor's traffic on the same artifact.
 TEST_P(BytecodeDifferential, AppBitIdenticalToStepObjects)
 {
+    const Golden golden[] = {
+        {"isipv4", 236, 0x2879054fb3eea472ull, 3391, 0},
+        {"ip2int", 203, 0x1299be33b37ece34ull, 3123, 0},
+        {"murmur3", 170, 0x0940ae5a1a4891feull, 2823, 0},
+        {"hash-table", 302, 0x3f57bdba41afe11eull, 6671, 0},
+        {"search", 676, 0x5d4319ed19e6ddf6ull, 39962, 0},
+        {"huff-dec", 405, 0x89be376381ae6e47ull, 61080, 0},
+        {"huff-enc", 1010, 0x67d6b38bb62848abull, 40152, 0},
+        {"kD-tree", 840, 0x355867a8fd3ca185ull, 16231, 0},
+    };
+    ASSERT_EQ(std::size(golden), apps::allApps().size());
     const apps::App &app = apps::findApp(GetParam());
     const int scale = 4;
-    expectExecutorsEquivalent(
+    const Golden *want = nullptr;
+    for (const Golden &g : golden) {
+        if (app.name == g.label)
+            want = &g;
+    }
+    ASSERT_NE(want, nullptr) << app.name;
+    expectMatchesGolden(
         app.source,
         [&](DramImage &dram) { return app.generate(dram, scale); },
-        app.name);
+        *want);
 
-    // The golden verifier must also pass on a bytecode run.
+    // The golden verifier must also pass.
     auto prog = CompiledProgram::compile(app.source);
     DramImage dram(prog.hir());
     auto args = app.generate(dram, scale);
-    prog.executeWith(ExecutorKind::bytecode, dram, args,
-                     Engine::Policy::worklist);
+    prog.execute(dram, args);
     EXPECT_EQ(app.verify(dram, scale), "") << app.name;
 }
 
@@ -164,9 +176,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Differential: language fixtures covering every lowering construct
-// (branches, while loops, nested loops, foreach, fork, SRAM, iterators
-// — the same programs the scheduler equivalence suite certifies).
+// Golden link traffic: language fixtures covering every lowering
+// construct (branches, while loops, nested loops, foreach, fork, SRAM,
+// iterators — the same programs the scheduler equivalence suite
+// certifies).
 
 TEST(BytecodeDifferential, LanguageFixtures)
 {
@@ -174,7 +187,7 @@ TEST(BytecodeDifferential, LanguageFixtures)
     {
         const char *label;
         const char *source;
-        std::function<std::vector<int32_t>(DramImage &)> generate;
+        Generate generate;
     };
     const std::vector<Fixture> fixtures = {
         {"branchy-if",
@@ -276,7 +289,7 @@ TEST(BytecodeDifferential, LanguageFixtures)
         {"reorder-replicate-exit",
          // Thread-reordering replicate region with dead threads:
          // ordinal-keyed park/restore pairs plus the batch-close slot
-         // reclamation, exercised differentially.
+         // reclamation.
          R"(
          DRAM<int> out;
          void main(int n) {
@@ -312,8 +325,22 @@ TEST(BytecodeDifferential, LanguageFixtures)
              return std::vector<int32_t>{0};
          }},
     };
-    for (const auto &f : fixtures)
-        expectExecutorsEquivalent(f.source, f.generate, f.label);
+    const Golden golden[] = {
+        {"branchy-if", 11, 0xc57d296fd9c55b85ull, 18, 0},
+        {"while-loop", 31, 0xa8734d029127b546ull, 508, 0},
+        {"nested-while", 77, 0xdce312b985a147ebull, 1848, 0},
+        {"collatz-while-in-foreach", 84, 0x26117c2293096a07ull, 5192, 0},
+        {"nested-foreach-reduce", 23, 0xe985728ce612e04full, 200, 0},
+        {"fork-and-rmw", 59, 0xbed7f10039bed812ull, 363, 0},
+        {"reorder-replicate-exit", 35, 0x4f241b8895d96f9cull, 371, 54},
+        {"read-iterator", 169, 0xac6d644c05e3bd22ull, 2914, 0},
+    };
+    ASSERT_EQ(std::size(golden), fixtures.size());
+    for (size_t i = 0; i < fixtures.size(); ++i) {
+        ASSERT_STREQ(fixtures[i].label, golden[i].label);
+        expectMatchesGolden(fixtures[i].source, fixtures[i].generate,
+                            golden[i]);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -372,7 +399,7 @@ TEST(BytecodeProgram, NamesCarryKindAndSourceNode)
     for (size_t i = 0; i < bc.insts.size(); ++i) {
         const std::string &name = bc.names[i];
         // "kind(node#id)": kind-qualified so Engine::stallReport()
-        // diagnostics are as useful as the step executor's.
+        // names the opcode and its source node.
         EXPECT_EQ(name.rfind(toString(bc.insts[i].op) + std::string("("),
                              0),
                   0u)
@@ -403,14 +430,11 @@ TEST(BytecodeProgram, ArgSlotsFollowSourceNodeOrder)
 
     DramImage dram(prog.hir());
     dram.resize("out", 4);
-    prog.executeWith(ExecutorKind::bytecode, dram, {9, 4},
-                     Engine::Policy::worklist);
+    prog.execute(dram, {9, 4});
     EXPECT_EQ(dram.read<int32_t>("out")[0], 5);
 
-    // Missing arguments fail the same way the step executor does.
+    // Missing arguments fail before the engine moves.
     DramImage dram2(prog.hir());
     dram2.resize("out", 4);
-    EXPECT_THROW(prog.executeWith(ExecutorKind::bytecode, dram2, {9},
-                                  Engine::Policy::worklist),
-                 std::runtime_error);
+    EXPECT_THROW(prog.execute(dram2, {9}), std::runtime_error);
 }

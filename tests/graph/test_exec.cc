@@ -44,7 +44,8 @@ compareCompiledToInterp(const std::string &src, const Filler &fill,
     graph::Dfg dfg = graph::lower(prog);
     DramImage dram(prog);
     fill(dram);
-    auto stats = graph::execute(dfg, dram, args);
+    auto stats =
+        graph::execute(graph::BytecodeProgram::compile(dfg), dram, args);
     EXPECT_TRUE(stats.drained);
 
     for (int d = 0; d < ref_dram.dramCount(); ++d) {
@@ -732,12 +733,12 @@ deadThreadRestoreGraph(int n)
 TEST(DataflowExec, KeyedRestoreRepairsOutOfOrderThreads)
 {
     const int n = 8;
-    Dfg g = reversedRestoreGraph(n);
+    auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n));
     for (auto policy : {dataflow::Engine::Policy::roundRobin,
                         dataflow::Engine::Policy::worklist}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(g, dram, {}, 1u << 24, policy);
+        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy);
         EXPECT_TRUE(stats.drained);
         auto out = dram.read<int32_t>("out");
         for (int i = 0; i < n; ++i) {
@@ -754,12 +755,12 @@ TEST(DataflowExec, ParkedSlotHighWaterMark)
     // buffer every value before it can emit a single one: the
     // occupancy high-water mark is exactly n, regardless of schedule.
     const int n = 8;
-    Dfg g = reversedRestoreGraph(n);
+    auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n));
     for (auto policy : {dataflow::Engine::Policy::roundRobin,
                         dataflow::Engine::Policy::worklist}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(g, dram, {}, 1u << 24, policy);
+        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy);
         EXPECT_EQ(stats.sramParkedPeak, static_cast<uint64_t>(n));
     }
 }
@@ -768,34 +769,25 @@ TEST(DataflowExec, DeadThreadParkSlotsReclaimedAtBatchClose)
 {
     // Every thread parks a value but only half present a key: the
     // other half are dead threads whose slots must be freed when the
-    // key stream closes the batch. Regression for the leak where
-    // KeyedRestore held dead threads' slots forever (sramParkedEnd
-    // used to read n/2 here). Checked under both executors so the
-    // bytecode path carries the same epilogue.
+    // key stream closes the batch. Regression for the leak where the
+    // keyed restore held dead threads' slots forever (sramParkedEnd
+    // used to read n/2 here).
     const int n = 8;
-    Dfg g = deadThreadRestoreGraph(n);
-    auto bc = graph::BytecodeProgram::compile(g);
+    auto bc = graph::BytecodeProgram::compile(deadThreadRestoreGraph(n));
     for (auto policy : {dataflow::Engine::Policy::roundRobin,
                         dataflow::Engine::Policy::worklist}) {
-        for (bool use_bytecode : {false, true}) {
-            DramImage dram(outProgram());
-            dram.resize("out", n * 4);
-            auto stats =
-                use_bytecode
-                    ? graph::execute(bc, dram, {}, 1u << 24, policy)
-                    : graph::execute(g, dram, {}, 1u << 24, policy);
-            SCOPED_TRACE(std::string(use_bytecode ? "bytecode" : "step") +
-                         " executor");
-            EXPECT_TRUE(stats.drained);
-            // All n values parked; none left behind after batch close.
-            EXPECT_EQ(stats.sramParkedElems, static_cast<uint64_t>(n));
-            EXPECT_EQ(stats.sramParkedEnd, 0u)
-                << "dead threads leaked park slots";
-            auto out = dram.read<int32_t>("out");
-            for (int i = 0; i < n; ++i) {
-                const int expect = i >= n / 2 ? i * 7 + 3 : 0;
-                EXPECT_EQ(out[i], expect) << "slot " << i;
-            }
+        DramImage dram(outProgram());
+        dram.resize("out", n * 4);
+        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy);
+        EXPECT_TRUE(stats.drained);
+        // All n values parked; none left behind after batch close.
+        EXPECT_EQ(stats.sramParkedElems, static_cast<uint64_t>(n));
+        EXPECT_EQ(stats.sramParkedEnd, 0u)
+            << "dead threads leaked park slots";
+        auto out = dram.read<int32_t>("out");
+        for (int i = 0; i < n; ++i) {
+            const int expect = i >= n / 2 ? i * 7 + 3 : 0;
+            EXPECT_EQ(out[i], expect) << "slot " << i;
         }
     }
 }
@@ -803,25 +795,22 @@ TEST(DataflowExec, DeadThreadParkSlotsReclaimedAtBatchClose)
 TEST(DataflowExec, KeyedRestoreLeavesNoResidueOnHealthyGraphs)
 {
     // On a graph where every parked value is eventually restored, the
-    // end-of-run occupancy is zero under both executors.
+    // end-of-run occupancy is zero.
     const int n = 8;
-    Dfg g = reversedRestoreGraph(n);
-    auto bc = graph::BytecodeProgram::compile(g);
-    for (bool use_bytecode : {false, true}) {
-        DramImage dram(outProgram());
-        dram.resize("out", n * 4);
-        auto stats = use_bytecode ? graph::execute(bc, dram, {}, 1u << 24)
-                                  : graph::execute(g, dram, {}, 1u << 24);
-        EXPECT_EQ(stats.sramParkedEnd, 0u);
-    }
+    auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n));
+    DramImage dram(outProgram());
+    dram.resize("out", n * 4);
+    auto stats = graph::execute(bc, dram, {}, 1u << 24);
+    EXPECT_TRUE(stats.drained);
+    EXPECT_EQ(stats.sramParkedEnd, 0u);
 }
 
 TEST(DataflowExec, BytecodeStallReportNamesProcesses)
 {
     // Shift the key stream to k = n-i so ordinal n is requested but
-    // never parked: the bytecode keyedRestore must stall, and the
-    // diagnostic must carry the primitive kind, the source node name,
-    // and the blocked ordinal — as useful as the step executor's.
+    // never parked: the keyedRestore must stall, and the diagnostic
+    // must carry the opcode, the source node name, and the blocked
+    // ordinal.
     const int n = 4;
     Dfg g = reversedRestoreGraph(n);
     for (auto &node : g.nodes) {

@@ -883,8 +883,7 @@ passConfig(const std::string &which)
 std::vector<std::vector<uint8_t>>
 runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
          dataflow::Engine::Policy policy,
-         graph::ExecStats *statsOut = nullptr,
-         graph::ExecutorKind executor = graph::ExecutorKind::stepObjects)
+         graph::ExecStats *statsOut = nullptr)
 {
     DramImage dram(dramProgram());
     std::vector<int32_t> input(kInElems);
@@ -894,11 +893,8 @@ runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
     dram.fill("in", input);
     dram.resize("scratch", static_cast<size_t>(scratchElems) * 4);
     dram.resize("out", static_cast<size_t>(outElems) * 4);
-    auto stats =
-        executor == graph::ExecutorKind::bytecode
-            ? graph::execute(graph::BytecodeProgram::compile(g), dram,
-                             {}, 1u << 24, policy)
-            : graph::execute(g, dram, {}, 1u << 24, policy);
+    auto stats = graph::execute(graph::BytecodeProgram::compile(g), dram,
+                                {}, 1u << 24, policy);
     EXPECT_TRUE(stats.drained);
     if (statsOut)
         *statsOut = stats;
@@ -1010,31 +1006,10 @@ diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
                     " diverged under policy " + pc.name;
             }
         }
-    }
-    // Executor oracle: the bytecode dispatch loop must reproduce the
-    // step-object executor's DRAM effects bit-for-bit on both the raw
-    // and the optimized graph (one policy suffices — the policy
-    // matrix above already certifies schedule independence).
-    {
-        graph::ExecStats sa, sb;
-        auto a = runGraph(gen.graph, gen.scratchElems, gen.outElems,
-                          seed, dataflow::Engine::Policy::worklist,
-                          &sa, graph::ExecutorKind::bytecode);
-        auto b = runGraph(optimized, gen.scratchElems, gen.outElems,
-                          seed, dataflow::Engine::Policy::worklist,
-                          &sb, graph::ExecutorKind::bytecode);
-        for (size_t d = 0; d < a.size(); ++d) {
-            if (a[d] != first_raw[d]) {
-                return "DRAM region " + std::to_string(d) +
-                    " diverged between executors on the raw graph";
-            }
-            if (a[d] != b[d]) {
-                return "DRAM region " + std::to_string(d) +
-                    " diverged under executor=bytecode";
-            }
+        if (sa.sramParkedEnd != 0 || sb.sramParkedEnd != 0) {
+            return std::string("park slots left occupied under ") +
+                pc.name;
         }
-        if (sa.sramParkedEnd != 0 || sb.sramParkedEnd != 0)
-            return "bytecode run left park slots occupied";
     }
     return "";
 }
