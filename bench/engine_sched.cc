@@ -190,7 +190,7 @@ checkIdentical(const char *label, const RunResult &rr,
 bool
 runAppIdentity()
 {
-    using revet::CompiledProgram;
+    using revet::CompiledArtifact;
     using revet::lang::DramImage;
     constexpr int scale = 4;
     bool ok = true;
@@ -198,13 +198,13 @@ runAppIdentity()
                 "(scale %d)\n",
                 scale);
     for (const auto &app : revet::apps::allApps()) {
-        auto prog = CompiledProgram::compile(app.source);
+        auto prog = CompiledArtifact::build(app.source);
         std::vector<std::vector<std::vector<uint8_t>>> images;
         for (Engine::Policy policy :
              {Engine::Policy::roundRobin, Engine::Policy::worklist}) {
-            DramImage dram(prog.hir());
+            DramImage dram(prog->hir());
             auto args = app.generate(dram, scale);
-            prog.execute(dram, args, policy);
+            revet::graph::execute(prog->bytecode(), dram, args, policy);
             std::vector<std::vector<uint8_t>> bytes;
             for (int d = 0; d < dram.dramCount(); ++d)
                 bytes.push_back(dram.bytes(d));

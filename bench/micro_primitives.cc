@@ -77,7 +77,7 @@ BM_CompileStrlen(benchmark::State &state)
           };
         })";
     for (auto _ : state)
-        benchmark::DoNotOptimize(CompiledProgram::compile(src));
+        benchmark::DoNotOptimize(CompiledArtifact::build(src));
 }
 BENCHMARK(BM_CompileStrlen);
 

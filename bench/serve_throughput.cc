@@ -11,7 +11,7 @@
  *    loop — the floor any serving layer is measured against.
  *  - served: every request looks its program up in the process-wide
  *    ArtifactCache (a hit), then the batch runs through
- *    serve::serveBatch on one worker with pooled contexts.
+ *    serve::serveBatch on one worker, which reuses one context.
  *
  * Acceptance gates (exit non-zero on violation, like exec_dispatch):
  *  - every request in both modes succeeds and the first request's

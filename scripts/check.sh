@@ -158,13 +158,13 @@ if [[ "$sanitize" != OFF ]]; then
     # instrumented build.
     echo "== bytecode golden link traffic (sanitized)"
     "$build_dir/tests/revet_test_bytecode"
-    # The serving layer recycles execution contexts across requests and
+    # The serving layer reuses execution contexts across requests and
     # shares one immutable artifact between worker threads — lifetime
     # and aliasing bugs there are exactly ASan territory. Under TSan
     # the same suite covers every cross-thread path in the repo:
-    # serveBatch's worker threads, the context pool's acquire/release
-    # handoff, and the artifact cache's compile-under-lock dedup (each
-    # request's engine is single-threaded).
+    # serveBatch's worker threads sharing one artifact, and the
+    # artifact cache's compile-under-lock dedup (each request's engine
+    # is single-threaded).
     echo "== serving layer suite (sanitized)"
     "$build_dir/tests/revet_test_serve"
     if [[ "$sanitize" == thread ]]; then

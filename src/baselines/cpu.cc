@@ -18,7 +18,8 @@ using lang::DramImage;
 namespace
 {
 
-/** Run kernel(lo, hi) over [0, items) across hardware threads; return
+/** Run kernel(lo, hi) over [0, items) in @p threads chunks, the caller
+ * running the last one (threads <= 0: hardware threads); return
  * best-of-3 seconds. */
 double
 timeParallel(uint64_t items, int threads,
@@ -27,19 +28,20 @@ timeParallel(uint64_t items, int threads,
     if (threads <= 0)
         threads = static_cast<int>(std::thread::hardware_concurrency());
     threads = std::max(threads, 1);
+    const uint64_t chunk = (items + threads - 1) / threads;
+    const uint64_t chunks = chunk ? (items + chunk - 1) / chunk : 0;
     double best = 1e30;
     for (int rep = 0; rep < 3; ++rep) {
         auto t0 = std::chrono::steady_clock::now();
-        std::vector<std::thread> pool;
-        uint64_t chunk = (items + threads - 1) / threads;
-        for (int t = 0; t < threads; ++t) {
-            uint64_t lo = t * chunk;
-            uint64_t hi = std::min<uint64_t>(items, lo + chunk);
-            if (lo >= hi)
-                break;
-            pool.emplace_back([&, lo, hi] { kernel(lo, hi); });
-        }
-        for (auto &th : pool)
+        // The calling thread runs the last chunk itself, so a 1-thread
+        // timing spawns nothing and times the kernel alone.
+        std::vector<std::thread> helpers;
+        for (uint64_t c = 0; c + 1 < chunks; ++c)
+            helpers.emplace_back(
+                [&, c] { kernel(c * chunk, (c + 1) * chunk); });
+        if (chunks > 0)
+            kernel((chunks - 1) * chunk, items);
+        for (auto &th : helpers)
             th.join();
         double s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)

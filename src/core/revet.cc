@@ -134,9 +134,7 @@ CompiledArtifact::build(const std::string &source,
 std::unique_ptr<graph::ExecutionContext>
 CompiledArtifact::makeContext() const
 {
-    graph::ContextOptions ctx_opts;
-    ctx_opts.hoistAllocators = opts_.graph.hoistAllocators;
-    return std::make_unique<graph::ExecutionContext>(bytecode_, ctx_opts);
+    return std::make_unique<graph::ExecutionContext>(bytecode_);
 }
 
 interp::RunStats
@@ -190,20 +188,6 @@ ArtifactCache::clear()
     std::lock_guard<std::mutex> guard(mu_);
     buckets_.clear();
     stats_ = Stats{};
-}
-
-CompiledProgram
-CompiledProgram::compile(const std::string &source,
-                         const CompileOptions &opts)
-{
-    return CompiledProgram(CompiledArtifact::build(source, opts));
-}
-
-CompiledProgram
-CompiledProgram::fromCache(const std::string &source,
-                           const CompileOptions &opts)
-{
-    return CompiledProgram(ArtifactCache::global().get(source, opts));
 }
 
 } // namespace revet

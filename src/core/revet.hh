@@ -12,21 +12,21 @@
  *    CompileOptions serialization).
  *
  *  - graph::ExecutionContext — the mutable half (channel FIFOs,
- *    per-instruction state, SRAM arena), instantiated per request from
- *    an artifact via makeContext() and reset-and-reused between
- *    requests. core/serve.hh pools contexts over one shared artifact
- *    for concurrent batch serving.
+ *    per-instruction state, SRAM arena), instantiated from an artifact
+ *    via makeContext() and reset-and-reused between requests.
+ *    core/serve.hh gives each serving worker one context over a shared
+ *    artifact for concurrent batch serving.
  *
- *  - CompiledProgram — the original single-user facade, now a thin
- *    handle on a shared artifact; compile() is uncached (a fresh
- *    artifact every call), fromCache() goes through the global cache.
+ * One compile path (CompiledArtifact::build, or ArtifactCache::get for
+ * the keyed one) and one run path (ExecutionContext::run, or the
+ * one-shot graph::execute over a fresh context).
  *
  * Typical single-user flow:
  * @code
- *   auto prog = revet::CompiledProgram::compile(source);
- *   revet::lang::DramImage dram(prog.hir());
+ *   auto art = revet::CompiledArtifact::build(source);
+ *   revet::lang::DramImage dram(art->hir());
  *   dram.fill("input", data);
- *   prog.execute(dram, {n});            // compiled dataflow
+ *   revet::graph::execute(art->bytecode(), dram, {n}); // compiled dataflow
  *   auto out = dram.read<int32_t>("out");
  * @endcode
  *
@@ -73,8 +73,9 @@ struct CompileOptions
     passes::PassOptions passes;      ///< HIR pass pipeline
     graph::GraphPassOptions graphOpt; ///< DFG optimizer (Fig. 8 right half)
     /** Graph-level resource toggles — the single canonical copy,
-     * plumbed into graph::ResourceOptions by the evaluation harness
-     * and into graph::ContextOptions by makeContext(). */
+     * plumbed into graph::ResourceOptions by build() and the
+     * evaluation harness. Resource-model only: they never reach the
+     * executor. */
     graph::GraphToggles graph;
 };
 
@@ -156,9 +157,8 @@ class CompiledArtifact
     const CompileOptions &options() const { return opts_; }
 
     /**
-     * Instantiate the mutable half: a fresh per-request execution
-     * context over this artifact's bytecode, with allocator hoisting
-     * taken from options().graph. The artifact must outlive the
+     * Instantiate the mutable half: a fresh reusable execution context
+     * over this artifact's bytecode. The artifact must outlive the
      * context — callers holding the artifact through shared_ptr (the
      * only way build() hands one out) get this for free by keeping
      * their reference.
@@ -232,95 +232,6 @@ class ArtifactCache
         std::vector<std::shared_ptr<const CompiledArtifact>>>
         buckets_;
     Stats stats_;
-};
-
-/**
- * A Revet program carried through every compilation stage: the
- * original single-user facade, now a thin handle on a shared
- * CompiledArtifact. Copying a CompiledProgram copies a shared_ptr.
- */
-class CompiledProgram
-{
-  public:
-    /**
-     * Compile @p source into a fresh artifact — uncached by design:
-     * callers that want compile-once/run-many sharing use fromCache()
-     * or ArtifactCache directly, and benchmarks that measure compile
-     * cost (bench/serve_throughput's naive baseline) stay honest.
-     * @throws lang::CompileError on invalid programs.
-     */
-    static CompiledProgram compile(const std::string &source,
-                                   const CompileOptions &opts = {});
-
-    /** As compile(), but through ArtifactCache::global(): repeated
-     * calls with the same (source, options) share one artifact. */
-    static CompiledProgram fromCache(const std::string &source,
-                                     const CompileOptions &opts = {});
-
-    /** The shared immutable artifact behind this handle. */
-    const std::shared_ptr<const CompiledArtifact> &
-    artifact() const
-    {
-        return artifact_;
-    }
-
-    /** The post-pipeline HIR (for DramImage construction and debug). */
-    const lang::Program &hir() const { return artifact_->hir(); }
-
-    /** The pre-pipeline HIR (reference-interpreter semantics). */
-    const lang::Program &
-    referenceHir() const
-    {
-        return artifact_->referenceHir();
-    }
-
-    /** The lowered (and, unless disabled, optimized) dataflow graph. */
-    const graph::Dfg &dfg() const { return artifact_->dfg(); }
-
-    /** What the DFG optimizer did (node/link deltas, per-pass counts). */
-    const graph::GraphOptReport &
-    optReport() const
-    {
-        return artifact_->optReport();
-    }
-
-    const CompileOptions &options() const { return artifact_->options(); }
-
-    /** Run on the reference AST interpreter (golden model). */
-    interp::RunStats
-    interpret(lang::DramImage &dram,
-              const std::vector<int32_t> &args) const
-    {
-        return artifact_->interpret(dram, args);
-    }
-
-    /** The dfg() compiled once into flat bytecode (cached at
-     * compile() time — the compile-once/run-many artifact). */
-    const graph::BytecodeProgram &
-    bytecode() const
-    {
-        return artifact_->bytecode();
-    }
-
-    /** Run bytecode() once, functionally, on a fresh context. The
-     * scheduling policy is observable only through stats/perf
-     * counters, never through results (see dataflow/engine.hh). */
-    graph::ExecStats
-    execute(lang::DramImage &dram, const std::vector<int32_t> &args,
-            dataflow::Engine::Policy policy =
-                dataflow::Engine::Policy::worklist) const
-    {
-        return graph::execute(bytecode(), dram, args,
-                              dataflow::Engine::defaultMaxRounds, policy);
-    }
-
-  private:
-    explicit CompiledProgram(
-        std::shared_ptr<const CompiledArtifact> artifact)
-        : artifact_(std::move(artifact))
-    {}
-
-    std::shared_ptr<const CompiledArtifact> artifact_;
 };
 
 } // namespace revet

@@ -35,57 +35,6 @@ percentile(const std::vector<double> &sorted, double p)
 
 } // namespace
 
-ContextPool::ContextPool(std::shared_ptr<const CompiledArtifact> artifact)
-    : artifact_(std::move(artifact))
-{
-    if (!artifact_)
-        throw std::invalid_argument("ContextPool: null artifact");
-}
-
-std::unique_ptr<graph::ExecutionContext>
-ContextPool::acquire(bool *reused)
-{
-    {
-        std::lock_guard<std::mutex> guard(mu_);
-        if (!idle_.empty()) {
-            auto ctx = std::move(idle_.back());
-            idle_.pop_back();
-            ++stats_.reused;
-            if (reused)
-                *reused = true;
-            return ctx;
-        }
-        ++stats_.created;
-    }
-    // Build outside the lock: context construction walks the whole
-    // program, and a cold burst should instantiate in parallel.
-    if (reused)
-        *reused = false;
-    return artifact_->makeContext();
-}
-
-void
-ContextPool::release(std::unique_ptr<graph::ExecutionContext> ctx)
-{
-    if (!ctx)
-        return;
-    std::lock_guard<std::mutex> guard(mu_);
-    if (ctx->poisoned()) {
-        ++stats_.discarded;
-        return; // destroyed on scope exit, never re-parked
-    }
-    idle_.push_back(std::move(ctx));
-}
-
-ContextPool::Stats
-ContextPool::stats() const
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    Stats out = stats_;
-    out.idle = idle_.size();
-    return out;
-}
-
 BatchReport
 serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
            const std::vector<Request> &requests, const ServeOptions &opts)
@@ -98,18 +47,24 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
     if (requests.empty())
         return report;
 
-    ContextPool pool(artifact);
     const int workers = std::max(
         1, std::min(opts.workers, static_cast<int>(requests.size())));
+    // One slot per worker, written once as it exits and summed after
+    // the join.
+    std::vector<ContextStats> ctx_stats(static_cast<size_t>(workers));
 
     std::atomic<size_t> next{0};
     const Clock::time_point batch_start = Clock::now();
 
     auto work = [&](int worker_id) {
+        // This worker's context, built on its first request and reused
+        // for the rest of the batch; dropped when a run poisons it.
+        std::unique_ptr<graph::ExecutionContext> ctx;
+        ContextStats cs;
         for (;;) {
             const size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= requests.size())
-                return;
+                break;
             const Request &req = requests[i];
             RequestResult &res = report.results[i];
             const Clock::time_point pickup = Clock::now();
@@ -119,34 +74,27 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
                 lang::DramImage dram(artifact->hir());
                 if (req.prepare)
                     req.prepare(dram);
-                if (opts.reuseContexts) {
-                    auto ctx = pool.acquire(&res.contextReused);
-                    try {
-                        res.stats = ctx->run(
-                            dram, req.args,
-                            dataflow::Engine::Policy::worklist,
-                            opts.maxRounds);
-                    } catch (...) {
-                        pool.release(std::move(ctx)); // discards: poisoned
-                        throw;
-                    }
-                    pool.release(std::move(ctx));
+                if (ctx) {
+                    ++cs.reused;
                 } else {
-                    auto ctx = artifact->makeContext();
-                    res.stats =
-                        ctx->run(dram, req.args,
-                                 dataflow::Engine::Policy::worklist,
-                                 opts.maxRounds);
+                    ctx = artifact->makeContext();
+                    ++cs.created;
                 }
+                res.stats = ctx->run(dram, req.args);
                 if (opts.keepDram)
                     res.dram.emplace(std::move(dram));
                 res.ok = true;
             } catch (const std::exception &e) {
                 res.ok = false;
                 res.error = e.what();
+                if (ctx && ctx->poisoned()) {
+                    ctx.reset();
+                    ++cs.discarded;
+                }
             }
             res.execMs = msBetween(pickup, Clock::now());
         }
+        ctx_stats[static_cast<size_t>(worker_id)] = cs;
     };
 
     if (workers == 1) {
@@ -177,8 +125,11 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
                            ? static_cast<double>(requests.size()) /
                                  (report.wallMs / 1000.0)
                            : 0.0;
-    if (opts.reuseContexts)
-        report.pool = pool.stats();
+    for (const ContextStats &cs : ctx_stats) {
+        report.pool.created += cs.created;
+        report.pool.reused += cs.reused;
+        report.pool.discarded += cs.discarded;
+    }
     return report;
 }
 

@@ -3,10 +3,12 @@
  * Batch serving harness over the compile-once/run-many split.
  *
  * One immutable CompiledArtifact (revet.hh) is shared by every worker;
- * each request gets a mutable graph::ExecutionContext, which the
- * ContextPool resets and recycles instead of rebuilding — the engine,
- * channels, per-instruction state, and (with hoistAllocators) the SRAM
- * arena survive from request to request. serveBatch() drives M
+ * each serving worker instantiates one graph::ExecutionContext on its
+ * first request and resets and reuses it for the rest of the batch
+ * instead of rebuilding it — the engine, channels, per-instruction
+ * state and the SRAM arena survive from request to request. A request
+ * that throws mid-run poisons its context; the worker drops it and
+ * builds a fresh one for its next request. serveBatch() drives M
  * requests through W worker threads and reports per-request latency
  * split into queue wait and execution time plus batch-level
  * percentiles, so bench/serve_throughput.cc can hold the serving path
@@ -17,10 +19,10 @@
  *
  * Correctness contract: serving is bit-identical to the one-shot path.
  * Every request's final DRAM image, link token counts, and link
- * barrier counts match a CompiledProgram::execute of the same
- * (source, args) under any scheduling policy and any worker count —
- * Kahn-network determinism end to end. tests/core/test_serve.cc
- * enforces this against a serial one-shot run on a fresh context.
+ * barrier counts match a graph::execute of the same (source, args)
+ * under any scheduling policy and any worker count — Kahn-network
+ * determinism end to end. tests/core/test_serve.cc enforces this
+ * against a serial one-shot run on a fresh context.
  */
 
 #ifndef REVET_CORE_SERVE_HH
@@ -29,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,63 +42,12 @@ namespace revet
 namespace serve
 {
 
-/**
- * Thread-safe pool of reusable execution contexts over one artifact.
- *
- * acquire() hands out an idle context (or instantiates one when none
- * is parked); release() parks it for the next request — unless the
- * run poisoned it (threw mid-request), in which case the context is
- * discarded and the next acquire builds fresh. The pool never blocks
- * waiting for a context: peak pool size equals peak concurrency.
- */
-class ContextPool
-{
-  public:
-    explicit ContextPool(
-        std::shared_ptr<const CompiledArtifact> artifact);
-
-    /** An idle context, or a freshly built one. @p reused (optional)
-     * reports which. */
-    std::unique_ptr<graph::ExecutionContext>
-    acquire(bool *reused = nullptr);
-
-    /** Park @p ctx for reuse; poisoned contexts are destroyed. */
-    void release(std::unique_ptr<graph::ExecutionContext> ctx);
-
-    struct Stats
-    {
-        uint64_t created = 0;   ///< contexts built
-        uint64_t reused = 0;    ///< acquires served from the pool
-        uint64_t discarded = 0; ///< poisoned contexts destroyed
-        size_t idle = 0;        ///< contexts currently parked
-    };
-
-    Stats stats() const;
-
-    const std::shared_ptr<const CompiledArtifact> &
-    artifact() const
-    {
-        return artifact_;
-    }
-
-  private:
-    std::shared_ptr<const CompiledArtifact> artifact_;
-    mutable std::mutex mu_;
-    std::vector<std::unique_ptr<graph::ExecutionContext>> idle_;
-    Stats stats_;
-};
-
 /** Batch serving knobs. */
 struct ServeOptions
 {
-    /** Serving worker threads (clamped to [1, batch size]). */
+    /** Serving worker threads (clamped to [1, batch size]); each
+     * holds at most one execution context at a time. */
     int workers = 4;
-    /** Recycle contexts through a ContextPool. Off: every request
-     * builds and tears down its own context (the ablation the
-     * throughput bench compares against). */
-    bool reuseContexts = true;
-    /** Per-request livelock cap. */
-    uint64_t maxRounds = dataflow::Engine::defaultMaxRounds;
     /** Keep each request's final DRAM image in its result (the
      * correctness suite reads them back; throughput benches turn this
      * off to keep memory flat). */
@@ -125,9 +75,16 @@ struct RequestResult
     double queueMs = 0; ///< batch submit -> worker pickup
     double execMs = 0;  ///< pickup -> completion (image + run)
     int worker = -1;    ///< serving worker index that ran it
-    bool contextReused = false; ///< served on a recycled context
     /** Final DRAM image (ServeOptions::keepDram; absent on failure). */
     std::optional<lang::DramImage> dram;
+};
+
+/** Execution-context accounting of one batch, summed over workers. */
+struct ContextStats
+{
+    uint64_t created = 0;   ///< contexts built
+    uint64_t reused = 0;    ///< requests run on an already-built context
+    uint64_t discarded = 0; ///< poisoned contexts dropped after a throw
 };
 
 /** Whole-batch outcome. Latency percentiles are over queueMs + execMs
@@ -142,13 +99,13 @@ struct BatchReport
     double reqPerSec = 0;
     double p50Ms = 0;
     double p99Ms = 0;
-    ContextPool::Stats pool; ///< zeroed when reuseContexts is off
+    ContextStats pool;
 };
 
 /**
- * Serve @p requests over @p artifact with a pool of worker threads.
- * All requests are considered submitted at call time (queueMs measures
- * head-of-line wait under the worker limit). Request failures are
+ * Serve @p requests over @p artifact with ServeOptions::workers
+ * threads. All requests are considered submitted at call time (queueMs
+ * measures head-of-line wait under the worker limit). Request failures are
  * reported per-result, never thrown: one poisoned request must not
  * take down the batch.
  */

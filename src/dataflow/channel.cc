@@ -56,14 +56,6 @@ Channel::pop()
     return tok;
 }
 
-TokenStream
-Channel::drain()
-{
-    TokenStream out(fifo_.begin(), fifo_.end());
-    fifo_.clear();
-    return out;
-}
-
 bool
 allHaveToken(const Bundle &bundle)
 {

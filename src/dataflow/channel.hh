@@ -4,10 +4,12 @@
  *
  * A Channel carries Tokens from one producer to one consumer in FIFO
  * order (the vRDA network guarantees exactly-once, in-order delivery).
- * Channels default to unbounded (functional semantics); the cycle
- * simulator bounds them to model finite input buffers. Pushing onto a
- * full bounded channel throws: primitives must guard with canPush(),
- * and a missing guard is a machine-model violation, not silent growth.
+ * Channels default to unbounded (functional semantics). A capacity is
+ * fixed at construction (the Channel constructor or
+ * Engine::channel(name, capacity)) to model a finite input buffer.
+ * Pushing onto a full bounded channel throws: primitives must guard
+ * with canPush(), and a missing guard is a machine-model violation,
+ * not silent growth.
  *
  * Channels created through Engine::channel() carry back-references to
  * their producer and consumer Process (filled in when the process is
@@ -66,7 +68,6 @@ class Channel
     bool empty() const { return fifo_.empty(); }
     size_t size() const { return fifo_.size(); }
     size_t capacity() const { return capacity_; }
-    void setCapacity(size_t capacity) { capacity_ = capacity; }
 
     bool canPush() const { return fifo_.size() < capacity_; }
 
@@ -113,9 +114,6 @@ class Channel
     };
 
     const ValueWatch &watch() const { return watch_; }
-
-    /** Drain the remaining contents into a TokenStream (post-run). */
-    TokenStream drain();
 
     /** Return the channel to its just-constructed state — FIFO, the
      * lifetime token count, and the value watch all cleared — so an

@@ -1070,10 +1070,9 @@ struct ExecutionContext::Impl
     uint64_t runs = 0;
     bool poisoned = false;
 
-    Impl(const BytecodeProgram &p, const ContextOptions &opts)
+    explicit Impl(const BytecodeProgram &p)
         : prog(p), engine(dataflow::Engine::Policy::worklist)
     {
-        mem.hoistArena = opts.hoistAllocators;
         std::vector<Channel *> chans(prog.numLinks, nullptr);
         for (size_t i = 0; i < prog.numLinks; ++i)
             chans[i] = engine.channel(prog.linkNames[i]);
@@ -1082,9 +1081,8 @@ struct ExecutionContext::Impl
     }
 };
 
-ExecutionContext::ExecutionContext(const BytecodeProgram &prog,
-                                   const ContextOptions &opts)
-    : impl_(new Impl(prog, opts))
+ExecutionContext::ExecutionContext(const BytecodeProgram &prog)
+    : impl_(new Impl(prog))
 {}
 
 ExecutionContext::~ExecutionContext() = default;
@@ -1133,7 +1131,7 @@ ExecutionContext::run(lang::DramImage &dram,
     // Pessimistic: cleared only when the run reaches quiescence. A
     // throw below (livelock, machine-model violation) leaves channel
     // and memory state mid-request; the reset above makes the *next*
-    // run safe regardless, but pools read this to retire the context.
+    // run safe regardless, but servers read this to retire the context.
     im.poisoned = true;
     stats.engineRounds = im.engine.run(max_rounds);
     collectRunStats(im.engine, im.prog.numLinks, stats);
@@ -1145,15 +1143,12 @@ ExecutionContext::run(lang::DramImage &dram,
 
 ExecStats
 execute(const BytecodeProgram &prog, lang::DramImage &dram,
-        const std::vector<int32_t> &args, uint64_t max_rounds,
-        dataflow::Engine::Policy policy)
+        const std::vector<int32_t> &args, dataflow::Engine::Policy policy,
+        uint64_t max_rounds)
 {
-    // One-shot path: a throwaway context with arena hoisting off (there
-    // is no second request to reuse it). Keeps a single implementation
-    // of the run sequence for both the one-shot and serving paths.
-    ContextOptions opts;
-    opts.hoistAllocators = false;
-    ExecutionContext ctx(prog, opts);
+    // One-shot path: a throwaway context, so the run sequence has one
+    // implementation for both the one-shot and serving paths.
+    ExecutionContext ctx(prog);
     return ctx.run(dram, args, policy, max_rounds);
 }
 

@@ -139,19 +139,6 @@ dataflow::Process *instantiate(dataflow::Engine &engine,
                                const std::vector<dataflow::Channel *> &chans,
                                detail::MachineMemory &mem);
 
-/** Per-context executor knobs. Derived from core::CompileOptions by
- * the serving layer; semantics-neutral (results never depend on them,
- * only allocation behavior and stats). */
-struct ContextOptions
-{
-    /** Hoist SRAM allocation into the reusable context: a reused
-     * ExecutionContext re-zeroes and hands back the arena buffers the
-     * previous request grew instead of allocating fresh ones
-     * (GraphToggles::hoistAllocators landing in the executor; arena
-     * hits are counted in ExecStats::sramArenaReused). */
-    bool hoistAllocators = true;
-};
-
 /**
  * The per-request half of the compile-once/run-many split.
  *
@@ -163,18 +150,20 @@ struct ContextOptions
  * fresh request on every run() instead of rebuilding it: channels are
  * cleared, per-instruction state is re-armed with the request's
  * arguments, and the machine memory is pointed at the request's DRAM
- * image and stats. Contexts are single-request-at-a-time (pool them
- * for concurrency — core/serve.hh); handing a context between threads
- * across requests is safe when the handoff synchronizes (the pool's
- * mutex does).
+ * image and stats. The SRAM arena survives too: a reused context
+ * re-zeroes and hands back the buffers the previous request grew
+ * instead of allocating fresh ones (counted in
+ * ExecStats::sramArenaReused). Contexts are single-request-at-a-time:
+ * for concurrency give each thread its own (core/serve.hh keeps one
+ * per serving worker); handing a context between threads across
+ * requests is safe when the handoff synchronizes.
  *
  * The referenced program must outlive the context.
  */
 class ExecutionContext
 {
   public:
-    explicit ExecutionContext(const BytecodeProgram &prog,
-                              const ContextOptions &opts = {});
+    explicit ExecutionContext(const BytecodeProgram &prog);
     ~ExecutionContext();
 
     ExecutionContext(const ExecutionContext &) = delete;
@@ -188,7 +177,7 @@ class ExecutionContext
      * @throws std::runtime_error on machine-model violations,
      * livelock, or missing arguments (the context remains
      * reusable: the next run() starts from a full reset, but
-     * poisoned() reports the failure so pools can discard).
+     * poisoned() reports the failure so servers can discard it).
      */
     ExecStats run(lang::DramImage &dram,
                   const std::vector<int32_t> &args,
@@ -203,8 +192,8 @@ class ExecutionContext
     uint64_t runsServed() const;
 
     /** True after a run() threw: state was left mid-request. run()
-     * self-heals via the full reset, but pools use this to retire the
-     * context instead of recycling it. */
+     * self-heals via the full reset, but serving workers use this to
+     * retire the context instead of reusing it. */
     bool poisoned() const;
 
   private:
@@ -221,9 +210,9 @@ class ExecutionContext
  */
 ExecStats execute(const BytecodeProgram &prog, lang::DramImage &dram,
                   const std::vector<int32_t> &args,
-                  uint64_t max_rounds = dataflow::Engine::defaultMaxRounds,
                   dataflow::Engine::Policy policy =
-                      dataflow::Engine::Policy::worklist);
+                      dataflow::Engine::Policy::worklist,
+                  uint64_t max_rounds = dataflow::Engine::defaultMaxRounds);
 
 } // namespace graph
 } // namespace revet

@@ -47,9 +47,9 @@ struct ExecStats
     uint64_t sramAccesses = 0;
     uint64_t sramAllocs = 0;
     /** sramAllocs satisfied from a reused execution context's SRAM
-     * arena (no host allocation: the slot was hoisted into the context
-     * by a previous request). Nonzero only on reused
-     * graph::ExecutionContext runs with hoistAllocators on. */
+     * arena (no host allocation: a previous request on the same
+     * context grew the slot). Always 0 on a context's first run, so
+     * on every one-shot graph::execute. */
     uint64_t sramArenaReused = 0;
     /** Elements that round-tripped through a replicate park/restore
      * pair (each element costs one SRAM write and one read, also

@@ -47,15 +47,11 @@ struct MachineMemory
      * post-run residue in ExecStats::sramParkedEnd. */
     uint64_t parkedNow = 0;
     /** SRAM handles live this run; handles are assigned densely from 0
-     * each run, so this (not heap.size()) is the dangling bound when
-     * the arena below outlives a request. */
+     * each run, so this (not heap.size()) is the dangling bound: the
+     * heap is an arena that outlives the request, and alloc()
+     * re-zeroes and reuses the buffer a previous request left in a
+     * slot instead of growing it. */
     uint32_t liveAllocs = 0;
-    /** Keep the allocator arena across runs (GraphToggles::
-     * hoistAllocators landing in the executor): alloc() re-zeroes and
-     * reuses the buffer a previous request left in the slot instead of
-     * growing the heap. Off: beginRun() drops the arena, every run
-     * allocates from scratch. */
-    bool hoistArena = false;
 
     /** Point this memory at the next request's image/stats/args.
      * Setup-only (no run in flight). */
@@ -68,12 +64,10 @@ struct MachineMemory
         args = &args_ref;
     }
 
-    /** Reset per-run state; call before every run. */
+    /** Reset per-run state; call before every run. The arena stays. */
     void
     beginRun()
     {
-        if (!hoistArena)
-            heap.clear();
         liveAllocs = 0;
         parkedNow = 0;
     }

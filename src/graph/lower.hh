@@ -17,8 +17,8 @@
  * Lowering emits straightforwardly — a (possibly passthrough) block at
  * every control boundary, a fanout node for every copy, a sink on
  * every dead link — and leaves cleanup to the DFG optimizer
- * (graph/optimize.hh), which core::CompiledProgram::compile runs
- * between lowering and execution.
+ * (graph/optimize.hh), which core::CompiledArtifact::build runs
+ * between lowering and bytecode compilation.
  */
 
 #ifndef REVET_GRAPH_LOWER_HH

@@ -1,16 +1,17 @@
 /**
  * @file
  * Serving-layer test battery: immutable artifacts, reusable execution
- * contexts, the context pool, the artifact cache, and the batch
- * harness.
+ * contexts, the artifact cache, and the batch harness with its
+ * per-worker contexts.
  *
  * The central contract under test: serving is invisible in results.
- * Whether a request ran on a fresh context or a recycled one, alone or
+ * Whether a request ran on a fresh context or a reused one, alone or
  * concurrently with others on the same shared artifact — its DRAM
  * image and per-link token/barrier counts must be bit-identical to a
  * serial one-shot run on a fresh context, whose DRAM in turn matches
  * the AST interpreter. Everything the serving layer is allowed to
- * change is in stats (arena-reuse counters, pool accounting, latency).
+ * change is in stats (arena-reuse counters, context accounting,
+ * latency).
  */
 
 #include <gtest/gtest.h>
@@ -114,8 +115,8 @@ runConcurrentBattery()
             EXPECT_TRUE(res.stats.drained);
             EXPECT_EQ(res.stats.sramParkedEnd, 0u);
         }
-        // With 4 workers the pool never needs more than 4 contexts,
-        // and 16 requests guarantee recycling happened.
+        // With 4 workers at most 4 contexts are built (one per
+        // worker), and 16 requests guarantee reuse happened.
         EXPECT_LE(rep.pool.created, 4u) << fixture;
         EXPECT_GE(rep.pool.reused, static_cast<uint64_t>(kRequests - 4))
             << fixture;
@@ -215,8 +216,8 @@ TEST(ServeResidue, ReusedContextMatchesFreshContext)
 TEST(ServeResidue, HoistedArenaReusesSlotsAcrossRequests)
 {
     // Find an allocating fixture, then require that a reused context
-    // with hoistAllocators on serves its second request from the
-    // arena — and that the arena is invisible in results.
+    // serves its second request from the arena — and that the arena is
+    // invisible in results.
     bool found = false;
     for (const auto &app : apps::allApps()) {
         auto artifact = CompiledArtifact::build(app.source);
@@ -240,19 +241,12 @@ TEST(ServeResidue, HoistedArenaReusesSlotsAcrossRequests)
         EXPECT_EQ(dramBytes(dram1), dramBytes(dram2))
             << app.name << ": arena reuse changed results";
 
-        // hoistAllocators off: every run allocates from scratch.
-        CompileOptions nohoist;
-        nohoist.graph.hoistAllocators = false;
-        auto art_off = CompiledArtifact::build(app.source, nohoist);
-        auto ctx_off = art_off->makeContext();
-        for (int run = 0; run < 2; ++run) {
-            lang::DramImage dram(art_off->hir());
-            auto args = app.generate(dram, 4);
-            auto stats = ctx_off->run(dram, args);
-            EXPECT_EQ(stats.sramArenaReused, 0u)
-                << app.name << ": hoistAllocators=false must never "
-                               "reuse arena slots";
-        }
+        // The one-shot path runs on a fresh context: no arena yet.
+        lang::DramImage dram3(artifact->hir());
+        auto args3 = app.generate(dram3, 4);
+        auto oneShot = graph::execute(artifact->bytecode(), dram3, args3);
+        EXPECT_EQ(oneShot.sramArenaReused, 0u) << app.name;
+        EXPECT_EQ(oneShot.sramAllocs, first.sramAllocs) << app.name;
         break;
     }
     ASSERT_TRUE(found) << "no Table III app allocates SRAM; the arena "
@@ -261,8 +255,8 @@ TEST(ServeResidue, HoistedArenaReusesSlotsAcrossRequests)
 
 TEST(ServeResidue, HoistToggleDifferentialOverAppFixtures)
 {
-    // The toggle may move allocator MUs around the resource model and
-    // arena slots into the context — never results.
+    // The toggle may move allocator MUs around the resource model —
+    // never results.
     for (const char *fixture : {"isipv4", "murmur3", "search"}) {
         const apps::App &app = apps::findApp(fixture);
         CompileOptions on, off;
@@ -428,52 +422,36 @@ TEST(ServeCache, HarnessCompilesOncePerSourceAndOptions)
     cache.clear();
 }
 
-TEST(ServePool, RecyclesDiscardsAndSelfHeals)
+TEST(ServeResidue, PoisonedContextSelfHeals)
 {
     const apps::App &app = apps::findApp("murmur3");
     auto artifact = CompiledArtifact::build(app.source);
-    serve::ContextPool pool(artifact);
-
-    bool reused = true;
-    auto c1 = pool.acquire(&reused);
-    EXPECT_FALSE(reused);
-    pool.release(std::move(c1));
-    EXPECT_EQ(pool.stats().idle, 1u);
-
-    auto c2 = pool.acquire(&reused);
-    EXPECT_TRUE(reused);
+    auto ctx = artifact->makeContext();
 
     // Poison deterministically: max_rounds = 0 forces the livelock
     // throw mid-run, leaving the context mid-request.
     lang::DramImage dram(artifact->hir());
     auto args = app.generate(dram, 4);
     EXPECT_THROW(
-        c2->run(dram, args, Engine::Policy::worklist, /*max_rounds=*/0),
+        ctx->run(dram, args, Engine::Policy::worklist, /*max_rounds=*/0),
         std::runtime_error);
-    EXPECT_TRUE(c2->poisoned());
+    EXPECT_TRUE(ctx->poisoned());
+    EXPECT_EQ(ctx->runsServed(), 0u);
 
     // A poisoned context still self-heals on the next run (full
-    // reset)...
+    // reset), bit-identical to a fresh one-shot run.
     lang::DramImage dram2(artifact->hir());
     auto args2 = app.generate(dram2, 4);
-    auto healed = c2->run(dram2, args2);
+    auto healed = ctx->run(dram2, args2);
     EXPECT_TRUE(healed.drained);
-    EXPECT_FALSE(c2->poisoned());
+    EXPECT_FALSE(ctx->poisoned());
+    EXPECT_EQ(ctx->runsServed(), 1u);
 
-    // ...but a context released while poisoned is discarded, never
-    // re-parked.
     lang::DramImage dram3(artifact->hir());
     auto args3 = app.generate(dram3, 4);
-    EXPECT_THROW(c2->run(dram3, args3, Engine::Policy::worklist, 0),
-                 std::runtime_error);
-    pool.release(std::move(c2));
-    auto st = pool.stats();
-    EXPECT_EQ(st.discarded, 1u);
-    EXPECT_EQ(st.idle, 0u);
-    auto c3 = pool.acquire(&reused);
-    EXPECT_FALSE(reused) << "a poisoned context leaked back into the "
-                            "pool";
-    (void)c3;
+    auto fresh = graph::execute(artifact->bytecode(), dram3, args3);
+    EXPECT_EQ(dramBytes(dram2), dramBytes(dram3));
+    EXPECT_EQ(healed.linkTokens, fresh.linkTokens);
 }
 
 TEST(ServePool, MissingArgumentsIsPreflightNotPoison)
@@ -524,21 +502,13 @@ TEST(ServeBatch, ReportAccounting)
         EXPECT_LT(res.worker, 3);
         EXPECT_LE(res.queueMs + res.execMs, rep.wallMs + 1.0);
     }
-
-    // Ablation: reuseContexts off builds one context per request and
-    // reports an empty pool — and results are still identical.
-    serve::ServeOptions fresh = opts;
-    fresh.reuseContexts = false;
-    serve::BatchReport rep2 =
-        serve::serveBatch(artifact, requests, fresh);
-    EXPECT_EQ(rep2.succeeded, static_cast<size_t>(kRequests));
-    EXPECT_EQ(rep2.pool.created + rep2.pool.reused, 0u);
-    for (int i = 0; i < kRequests; ++i) {
-        ASSERT_TRUE(rep.results[i].dram && rep2.results[i].dram);
-        EXPECT_EQ(dramBytes(*rep.results[i].dram),
-                  dramBytes(*rep2.results[i].dram));
-        EXPECT_FALSE(rep2.results[i].contextReused);
-    }
+    // One context per worker that ran anything; every other request
+    // reused its worker's context.
+    EXPECT_GE(rep.pool.created, 1u);
+    EXPECT_LE(rep.pool.created, 3u);
+    EXPECT_EQ(rep.pool.created + rep.pool.reused,
+              static_cast<uint64_t>(kRequests));
+    EXPECT_EQ(rep.pool.discarded, 0u);
 }
 
 TEST(ServeBatch, RequestFailureIsIsolated)
@@ -571,4 +541,40 @@ TEST(ServeBatch, RequestFailureIsIsolated)
     }
     // Preflight rejections do not poison, so nothing was discarded.
     EXPECT_EQ(rep.pool.discarded, 0u);
+}
+
+TEST(ServeBatch, MidRunThrowDiscardsOnlyThatContext)
+{
+    // {0} divides by zero mid-run, poisoning the worker's context: that
+    // request alone fails, the context is dropped, and the next request
+    // runs on a freshly built one with interpreter-identical results.
+    auto artifact = CompiledArtifact::build(
+        "DRAM<int> out; void main(int n) { out[0] = 100 / n; }");
+    const std::vector<std::vector<int32_t>> args = {{5}, {0}, {4}};
+    std::vector<serve::Request> requests(args.size());
+    for (size_t i = 0; i < args.size(); ++i) {
+        requests[i].args = args[i];
+        requests[i].prepare = [](lang::DramImage &dram) {
+            dram.resize("out", 4);
+        };
+    }
+    serve::ServeOptions opts;
+    opts.workers = 1;
+    serve::BatchReport rep = serve::serveBatch(artifact, requests, opts);
+
+    EXPECT_EQ(rep.failed, 1u);
+    EXPECT_FALSE(rep.results[1].ok);
+    EXPECT_NE(rep.results[1].error.find("division by zero"),
+              std::string::npos)
+        << rep.results[1].error;
+    EXPECT_EQ(rep.pool.discarded, 1u);
+    EXPECT_EQ(rep.pool.created, 2u);
+    for (size_t i : {size_t{0}, size_t{2}}) {
+        ASSERT_TRUE(rep.results[i].ok) << rep.results[i].error;
+        lang::DramImage ref(artifact->hir());
+        ref.resize("out", 4);
+        artifact->interpret(ref, args[i]);
+        EXPECT_EQ(dramBytes(*rep.results[i].dram), dramBytes(ref))
+            << "request " << i;
+    }
 }

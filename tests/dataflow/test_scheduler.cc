@@ -51,7 +51,7 @@ struct PolicyRun
 
 /** Execute @p prog under @p policy on a freshly generated image. */
 PolicyRun
-runUnderPolicy(const CompiledProgram &prog,
+runUnderPolicy(const CompiledArtifact &prog,
                const std::function<std::vector<int32_t>(DramImage &)>
                    &generate,
                Engine::Policy policy)
@@ -59,7 +59,7 @@ runUnderPolicy(const CompiledProgram &prog,
     PolicyRun out;
     DramImage dram(prog.hir());
     auto args = generate(dram);
-    out.stats = prog.execute(dram, args, policy);
+    out.stats = graph::execute(prog.bytecode(), dram, args, policy);
     for (int d = 0; d < dram.dramCount(); ++d)
         out.dram_bytes.push_back(dram.bytes(d));
     return out;
@@ -75,15 +75,15 @@ expectPoliciesEquivalent(
     const std::function<std::vector<int32_t>(DramImage &)> &generate,
     const std::string &label)
 {
-    auto prog = CompiledProgram::compile(source);
+    auto prog = CompiledArtifact::build(source);
 
-    DramImage ref(prog.hir());
+    DramImage ref(prog->hir());
     auto args = generate(ref);
-    prog.interpret(ref, args);
+    prog->interpret(ref, args);
 
-    PolicyRun rr = runUnderPolicy(prog, generate,
+    PolicyRun rr = runUnderPolicy(*prog, generate,
                                   Engine::Policy::roundRobin);
-    PolicyRun wl = runUnderPolicy(prog, generate,
+    PolicyRun wl = runUnderPolicy(*prog, generate,
                                   Engine::Policy::worklist);
 
     EXPECT_TRUE(rr.stats.drained) << label;
@@ -125,10 +125,10 @@ TEST_P(SchedulerEquivalence, AppBitIdenticalUnderAllPolicies)
         app.name);
 
     // And the golden verifier must pass under the worklist policy.
-    auto prog = CompiledProgram::compile(app.source);
-    DramImage dram(prog.hir());
+    auto prog = CompiledArtifact::build(app.source);
+    DramImage dram(prog->hir());
     auto args = app.generate(dram, scale);
-    prog.execute(dram, args, Engine::Policy::worklist);
+    graph::execute(prog->bytecode(), dram, args, Engine::Policy::worklist);
     EXPECT_EQ(app.verify(dram, scale), "") << app.name;
 }
 

@@ -92,16 +92,17 @@ void
 expectMatchesGolden(const std::string &source, const Generate &generate,
                     const Golden &want)
 {
-    auto prog = CompiledProgram::compile(source);
-    DramImage ref(prog.hir());
+    auto prog = CompiledArtifact::build(source);
+    DramImage ref(prog->hir());
     auto ref_args = generate(ref);
-    prog.interpret(ref, ref_args);
+    prog->interpret(ref, ref_args);
     for (Engine::Policy policy : kAllPolicies) {
         const std::string where =
             std::string(want.label) + " [" + policyName(policy) + "]";
-        DramImage dram(prog.hir());
+        DramImage dram(prog->hir());
         auto args = generate(dram);
-        graph::ExecStats stats = prog.execute(dram, args, policy);
+        graph::ExecStats stats =
+            graph::execute(prog->bytecode(), dram, args, policy);
         EXPECT_TRUE(stats.drained) << where;
         EXPECT_EQ(stats.linkTokens.size(), want.links) << where;
         EXPECT_EQ(trafficHash(stats), want.traffic)
@@ -155,10 +156,10 @@ TEST_P(BytecodeDifferential, AppBitIdenticalToStepObjects)
         *want);
 
     // The golden verifier must also pass.
-    auto prog = CompiledProgram::compile(app.source);
-    DramImage dram(prog.hir());
+    auto prog = CompiledArtifact::build(app.source);
+    DramImage dram(prog->hir());
     auto args = app.generate(dram, scale);
-    prog.execute(dram, args);
+    graph::execute(prog->bytecode(), dram, args);
     EXPECT_EQ(app.verify(dram, scale), "") << app.name;
 }
 
@@ -348,15 +349,15 @@ TEST(BytecodeDifferential, LanguageFixtures)
 
 TEST(BytecodeProgram, FlattensOneInstructionPerNode)
 {
-    auto prog = CompiledProgram::compile(R"(
+    auto prog = CompiledArtifact::build(R"(
         DRAM<int> out;
         void main(int n) {
           int acc = foreach (n) { int i => return i * i; };
           out[0] = acc;
         })");
-    const graph::BytecodeProgram &bc = prog.bytecode();
-    EXPECT_EQ(bc.insts.size(), prog.dfg().nodes.size());
-    EXPECT_EQ(bc.numLinks, prog.dfg().links.size());
+    const graph::BytecodeProgram &bc = prog->bytecode();
+    EXPECT_EQ(bc.insts.size(), prog->dfg().nodes.size());
+    EXPECT_EQ(bc.numLinks, prog->dfg().links.size());
     EXPECT_EQ(bc.names.size(), bc.insts.size());
     EXPECT_EQ(bc.linkNames.size(), bc.numLinks);
 
@@ -366,7 +367,7 @@ TEST(BytecodeProgram, FlattensOneInstructionPerNode)
     size_t total_ops = 0;
     for (size_t i = 0; i < bc.insts.size(); ++i) {
         const graph::BcInst &inst = bc.insts[i];
-        const graph::Node &node = prog.dfg().nodes[i];
+        const graph::Node &node = prog->dfg().nodes[i];
         ASSERT_EQ(inst.nIns, node.ins.size());
         ASSERT_EQ(inst.nOuts, node.outs.size());
         for (uint32_t k = 0; k < inst.nIns; ++k)
@@ -387,14 +388,14 @@ TEST(BytecodeProgram, FlattensOneInstructionPerNode)
 
 TEST(BytecodeProgram, NamesCarryKindAndSourceNode)
 {
-    auto prog = CompiledProgram::compile(R"(
+    auto prog = CompiledArtifact::build(R"(
         DRAM<int> out;
         void main(int n) {
           int i = 0;
           while (i < n) { i++; };
           out[0] = i;
         })");
-    const graph::BytecodeProgram &bc = prog.bytecode();
+    const graph::BytecodeProgram &bc = prog->bytecode();
     bool saw_fb = false, saw_source = false;
     for (size_t i = 0; i < bc.insts.size(); ++i) {
         const std::string &name = bc.names[i];
@@ -416,10 +417,10 @@ TEST(BytecodeProgram, NamesCarryKindAndSourceNode)
 
 TEST(BytecodeProgram, ArgSlotsFollowSourceNodeOrder)
 {
-    auto prog = CompiledProgram::compile(R"(
+    auto prog = CompiledArtifact::build(R"(
         DRAM<int> out;
         void main(int a, int b) { out[0] = a - b; })");
-    const graph::BytecodeProgram &bc = prog.bytecode();
+    const graph::BytecodeProgram &bc = prog->bytecode();
     EXPECT_EQ(bc.numArgs, 2u);
     std::vector<int32_t> seen;
     for (const auto &inst : bc.insts) {
@@ -428,13 +429,14 @@ TEST(BytecodeProgram, ArgSlotsFollowSourceNodeOrder)
     }
     EXPECT_EQ(seen, (std::vector<int32_t>{0, 1}));
 
-    DramImage dram(prog.hir());
+    DramImage dram(prog->hir());
     dram.resize("out", 4);
-    prog.execute(dram, {9, 4});
+    graph::execute(prog->bytecode(), dram, {9, 4});
     EXPECT_EQ(dram.read<int32_t>("out")[0], 5);
 
     // Missing arguments fail before the engine moves.
-    DramImage dram2(prog.hir());
+    DramImage dram2(prog->hir());
     dram2.resize("out", 4);
-    EXPECT_THROW(prog.execute(dram2, {9}), std::runtime_error);
+    EXPECT_THROW(graph::execute(prog->bytecode(), dram2, {9}),
+                 std::runtime_error);
 }

@@ -738,7 +738,7 @@ TEST(DataflowExec, KeyedRestoreRepairsOutOfOrderThreads)
                         dataflow::Engine::Policy::worklist}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy);
+        auto stats = graph::execute(bc, dram, {}, policy, 1u << 24);
         EXPECT_TRUE(stats.drained);
         auto out = dram.read<int32_t>("out");
         for (int i = 0; i < n; ++i) {
@@ -760,7 +760,7 @@ TEST(DataflowExec, ParkedSlotHighWaterMark)
                         dataflow::Engine::Policy::worklist}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy);
+        auto stats = graph::execute(bc, dram, {}, policy, 1u << 24);
         EXPECT_EQ(stats.sramParkedPeak, static_cast<uint64_t>(n));
     }
 }
@@ -778,7 +778,7 @@ TEST(DataflowExec, DeadThreadParkSlotsReclaimedAtBatchClose)
                         dataflow::Engine::Policy::worklist}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy);
+        auto stats = graph::execute(bc, dram, {}, policy, 1u << 24);
         EXPECT_TRUE(stats.drained);
         // All n values parked; none left behind after batch close.
         EXPECT_EQ(stats.sramParkedElems, static_cast<uint64_t>(n));
@@ -800,7 +800,8 @@ TEST(DataflowExec, KeyedRestoreLeavesNoResidueOnHealthyGraphs)
     auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n));
     DramImage dram(outProgram());
     dram.resize("out", n * 4);
-    auto stats = graph::execute(bc, dram, {}, 1u << 24);
+    auto stats = graph::execute(bc, dram, {},
+                                dataflow::Engine::Policy::worklist, 1u << 24);
     EXPECT_TRUE(stats.drained);
     EXPECT_EQ(stats.sramParkedEnd, 0u);
 }
@@ -821,7 +822,8 @@ TEST(DataflowExec, BytecodeStallReportNamesProcesses)
     DramImage dram(outProgram());
     dram.resize("out", (n + 1) * 4);
     try {
-        graph::execute(bc, dram, {}, 1u << 20);
+        graph::execute(bc, dram, {}, dataflow::Engine::Policy::worklist,
+                       1u << 20);
         FAIL() << "expected the missing-key graph to stall";
     } catch (const std::runtime_error &err) {
         const std::string msg = err.what();

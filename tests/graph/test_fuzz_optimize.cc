@@ -894,7 +894,7 @@ runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
     dram.resize("scratch", static_cast<size_t>(scratchElems) * 4);
     dram.resize("out", static_cast<size_t>(outElems) * 4);
     auto stats = graph::execute(graph::BytecodeProgram::compile(g), dram,
-                                {}, 1u << 24, policy);
+                                {}, policy, 1u << 24);
     EXPECT_TRUE(stats.drained);
     if (statsOut)
         *statsOut = stats;
