@@ -35,7 +35,6 @@
 #include "lang/dram_image.hh"
 
 using revet::CompiledArtifact;
-using revet::dataflow::Engine;
 using revet::lang::DramImage;
 
 namespace
@@ -73,7 +72,7 @@ runApp(const CompiledArtifact &art, const revet::apps::App &app)
         DramImage dram(art.hir());
         auto args = app.generate(dram, kScale);
         auto t0 = std::chrono::steady_clock::now();
-        auto stats = ctx->run(dram, args, Engine::Policy::worklist);
+        auto stats = ctx->run(dram, args);
         auto t1 = std::chrono::steady_clock::now();
         const double ms =
             std::chrono::duration<double, std::milli>(t1 - t0).count();

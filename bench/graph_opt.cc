@@ -18,8 +18,8 @@
  *    distribution/collection trees.
  *
  * Exits non-zero on violation so CI can run it as a guardrail (it is
- * registered with CTest as bench.graph_opt), mirroring the
- * engine_sched.cc acceptance-gate pattern. One machine-readable JSON
+ * registered with CTest as bench.graph_opt), like the other
+ * count-based bench gates. One machine-readable JSON
  * line per fixture (and a summary line) feeds the bench trajectory;
  * the lines carry replMU/bufferMU before/after so the perf trajectory
  * captures the replicate-bufferize and sub-word packing passes.

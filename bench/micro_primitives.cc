@@ -4,7 +4,7 @@
  * codec throughput and end-to-end compile time for the strlen case
  * study. These guard the simulator's own performance (host-side), not
  * modeled vRDA numbers. Executor and scheduler costs are measured by
- * bench_exec_dispatch and bench_engine_sched.
+ * bench_exec_dispatch.
  */
 
 #include <benchmark/benchmark.h>

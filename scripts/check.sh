@@ -147,17 +147,22 @@ if [[ "$sanitize" != OFF ]]; then
     echo "== optimizer equivalence (sanitized)"
     "$build_dir/tests/revet_test_graph" \
         --gtest_filter='*GraphOptEquiv*:*GraphOptStructure*:*GraphOptPipeline*'
-    # The randomized DFG differential suite, pinned to a fixed seed so
-    # the instrumented run is reproducible (override via REVET_FUZZ_SEED
-    # to replay a CI failure under the sanitizers).
+    # The randomized sweeps below are pinned to a fixed seed so the
+    # instrumented run is reproducible (override via REVET_FUZZ_SEED to
+    # replay a CI failure under the sanitizers). With the variable set,
+    # the shuffled-schedule oracle (tests/dataflow/shuffled_schedule.hh)
+    # runs 64 seeds per app and fixture instead of tier-1's 8.
+    export REVET_FUZZ_SEED="${REVET_FUZZ_SEED:-20260730}"
     echo "== optimizer fuzz differential (sanitized, fixed seed)"
-    REVET_FUZZ_SEED="${REVET_FUZZ_SEED:-20260730}" \
-        "$build_dir/tests/revet_test_fuzz"
+    "$build_dir/tests/revet_test_fuzz"
     # The executor must reproduce the golden link traffic on every
-    # fixture: run the bytecode suite explicitly under the
-    # instrumented build.
-    echo "== bytecode golden link traffic (sanitized)"
+    # fixture, on the engine and under every shuffled schedule: run the
+    # bytecode and scheduler suites explicitly under the instrumented
+    # build.
+    echo "== bytecode golden link traffic, 64 shuffled schedules (sanitized)"
     "$build_dir/tests/revet_test_bytecode"
+    echo "== scheduler equivalence, 64 shuffled schedules (sanitized)"
+    "$build_dir/tests/revet_test_dataflow"
     # The serving layer reuses execution contexts across requests and
     # shares one immutable artifact between worker threads — lifetime
     # and aliasing bugs there are exactly ASan territory. Under TSan

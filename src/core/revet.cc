@@ -37,7 +37,6 @@ canonicalOptions(const CompileOptions &opts)
 {
     std::ostringstream oss;
     oss << "passes{";
-    put(oss, "lowerAdapters", opts.passes.lowerAdapters);
     put(oss, "eliminateHierarchy", opts.passes.eliminateHierarchy);
     put(oss, "ifToSelect", opts.passes.ifToSelect);
     oss << "}graphOpt{";

@@ -14,13 +14,14 @@
  * percentiles, so bench/serve_throughput.cc can hold the serving path
  * to within 1.25x of a bare ExecutionContext::run.
  *
- * Each request runs on one serving worker thread under the worklist
- * policy; concurrency exists only across requests, never inside one.
+ * Each request runs on one serving worker thread, on that context's
+ * single-threaded engine; concurrency exists only across requests,
+ * never inside one.
  *
  * Correctness contract: serving is bit-identical to the one-shot path.
  * Every request's final DRAM image, link token counts, and link
  * barrier counts match a graph::execute of the same (source, args)
- * under any scheduling policy and any worker count — Kahn-network
+ * under any schedule and any worker count — Kahn-network
  * determinism end to end. tests/core/test_serve.cc enforces this
  * against a serial one-shot run on a fresh context.
  */

@@ -100,38 +100,6 @@ uint64_t
 Engine::run(uint64_t max_rounds)
 {
     sched_ = SchedStats{};
-    return policy_ == Policy::roundRobin ? runRoundRobin(max_rounds)
-                                         : runWorklist(max_rounds);
-}
-
-uint64_t
-Engine::runRoundRobin(uint64_t max_rounds)
-{
-    while (true) {
-        bool progress = false;
-        for (auto &proc : procs_) {
-            int quanta = proc->runQuanta(burst_);
-            ++sched_.steps;
-            if (quanta == 0)
-                ++sched_.idleSteps;
-            sched_.quanta += quanta;
-            progress |= quanta > 0;
-        }
-        if (!progress) {
-            // The final certification pass is not a working round: a
-            // network that quiesces in exactly max_rounds rounds is
-            // done, not livelocked.
-            ++sched_.verifyPasses;
-            return sched_.rounds;
-        }
-        if (++sched_.rounds > max_rounds)
-            throwLivelock(max_rounds);
-    }
-}
-
-uint64_t
-Engine::runWorklist(uint64_t max_rounds)
-{
     scheduling_ = true;
     ready_.clear();
     in_queue_.assign(procs_.size(), false);
@@ -149,12 +117,12 @@ Engine::runWorklist(uint64_t max_rounds)
                 // Certify quiescence with one full rescan. With correct
                 // notification wiring this never finds progress; when a
                 // channel bypasses the engine (constructed outside
-                // Engine::channel) it degrades to round-robin instead
-                // of silently dropping work.
+                // Engine::channel) it degrades to a full scan per round
+                // instead of silently dropping work.
                 ++sched_.verifyPasses;
                 bool progress = false;
                 for (auto &proc : procs_) {
-                    int quanta = proc->runQuanta(burst_);
+                    int quanta = proc->runQuanta(kBurst);
                     ++sched_.steps;
                     if (quanta == 0)
                         ++sched_.idleSteps;
@@ -180,7 +148,7 @@ Engine::runWorklist(uint64_t max_rounds)
                 Process *proc = ready_.front();
                 ready_.pop_front();
                 in_queue_[proc->sched_id_] = false;
-                int quanta = proc->runQuanta(burst_);
+                int quanta = proc->runQuanta(kBurst);
                 ++sched_.steps;
                 if (quanta == 0)
                     ++sched_.idleSteps;
@@ -190,7 +158,7 @@ Engine::runWorklist(uint64_t max_rounds)
                 // its own (no channel event will requeue it); anything
                 // less means it blocked and channel transitions own its
                 // next wakeup.
-                if (quanta == burst_)
+                if (quanta == kBurst)
                     enqueue(proc);
             }
             if (progress && ++sched_.rounds > max_rounds)

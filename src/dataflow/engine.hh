@@ -6,28 +6,25 @@
  * the fixed point where no primitive can make progress. With unbounded
  * channels this computes the denotational (Kahn-network) semantics of
  * the graph; the result is independent of scheduling order because
- * every primitive is a deterministic stream transformer. That freedom
- * is what allows two interchangeable scheduling policies:
+ * every primitive is a deterministic stream transformer.
  *
- *  - Policy::roundRobin — the original model: every round scans every
- *    primitive, stopping at the first full no-progress pass. Simple,
- *    but O(processes) per round even when one pipeline stage is active.
+ * The one scheduler is readiness-driven: channels notify the engine on
+ * empty->non-empty (wakes the consumer) and full->non-full (wakes the
+ * producer) transitions, and only primitives on the ready deque are
+ * stepped; an in-queue bitmap deduplicates wakeups. Primitives only
+ * examine channel heads, emptiness, and free capacity, so these
+ * transitions cover every way a blocked primitive can become runnable.
+ * Quiescence is still *certified* by a full verification rescan once
+ * the deque empties — a missed wakeup can therefore cost time (counted
+ * in SchedStats::missedWakeups, asserted zero in tests) but never
+ * change the computed fixed point.
  *
- *  - Policy::worklist (default) — readiness-driven: channels notify the
- *    engine on empty->non-empty (wakes the consumer) and full->non-full
- *    (wakes the producer) transitions, and only primitives on the ready
- *    deque are stepped; an in-queue bitmap deduplicates wakeups.
- *    Primitives only examine channel heads, emptiness, and free
- *    capacity, so these transitions cover every way a blocked primitive
- *    can become runnable. Quiescence is still *certified* by a full
- *    verification rescan once the deque empties — a missed wakeup can
- *    therefore cost time (counted in SchedStats::missedWakeups, asserted
- *    zero in tests) but never change the computed fixed point.
- *
- * Both policies produce bit-identical channel traffic and DRAM effects;
- * tests/dataflow/test_scheduler.cc certifies this against the AST
- * interpreter on every app fixture (translation validation in the
- * WaveCert spirit).
+ * Schedule independence is checked in the tests, not by a second
+ * scheduler here: tests/dataflow/shuffled_schedule.hh drives the same
+ * processes under seeded random orders and bursts, and every app and
+ * language fixture must reproduce the interpreter's DRAM and the
+ * pinned link traffic under each of them (translation validation in
+ * the WaveCert spirit).
  *
  * An Engine is single-threaded: one run() executes every process on the
  * calling thread, and nothing in the engine, its channels or its
@@ -155,8 +152,8 @@ class Process
 /** Observability counters for one Engine::run invocation. */
 struct SchedStats
 {
-    /** Scheduler rounds: full passes (roundRobin) or ready-deque
-     * generations (worklist) that moved at least one token. */
+    /** Scheduler rounds: ready-deque generations that moved at least
+     * one token. */
     uint64_t rounds = 0;
     /** Process step() invocations. */
     uint64_t steps = 0;
@@ -173,34 +170,26 @@ struct SchedStats
      * always 0 unless a channel bypasses the engine's wiring. The
      * rescan certifies the fixed point either way. */
     uint64_t missedWakeups = 0;
-    /** step() calls the round-robin model would have made for the same
-     * number of rounds minus the calls actually made (worklist only). */
+    /** rounds x processes (the step() calls a scheduler that scans
+     * every process each round would make) minus the calls actually
+     * made: the idle scans the ready deque avoided. */
     uint64_t stepsSkipped = 0;
 };
 
 class Engine
 {
   public:
-    /** Scheduling policy for run(); see the file comment. */
-    enum class Policy { roundRobin, worklist };
-
     /** Default safety cap on working rounds, shared by every caller
      * (graph::execute, graph::ExecutionContext::run) so all entry
      * points diagnose livelock at the same threshold. */
     static constexpr uint64_t defaultMaxRounds = 1u << 26;
 
-    explicit Engine(Policy policy = Policy::worklist) : policy_(policy) {}
+    Engine() = default;
 
     // Channels hold a back-pointer to their engine; moving would
     // dangle it.
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
-
-    Policy policy() const { return policy_; }
-    void setPolicy(Policy policy) { policy_ = policy; }
-
-    /** Work quanta a process may run per scheduling decision. */
-    void setBurst(int burst) { burst_ = burst < 1 ? 1 : burst; }
 
     /** Create a channel owned by this engine. */
     Channel *
@@ -225,7 +214,7 @@ class Engine
     }
 
     /**
-     * Run to quiescence under the current policy.
+     * Run to quiescence.
      *
      * @param max_rounds safety cap on *working* scheduler rounds (rounds
      *        that still move tokens). Exceeding it throws: the network
@@ -282,19 +271,18 @@ class Engine
   private:
     void registerProcess(Process *proc);
     /** Put @p proc on the ready deque unless it is already queued (or
-     * no worklist run is active). Returns true if it was inserted;
+     * no run is active). Returns true if it was inserted;
      * only channel-event insertions count as SchedStats::wakeups. */
     bool enqueue(Process *proc);
-    uint64_t runRoundRobin(uint64_t max_rounds);
-    uint64_t runWorklist(uint64_t max_rounds);
     [[noreturn]] void throwLivelock(uint64_t max_rounds) const;
 
-    Policy policy_;
-    int burst_ = 4096;
+    /** Work quanta a process may run per scheduling decision. */
+    static constexpr int kBurst = 4096;
+
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<Process>> procs_;
 
-    // Worklist scheduler state (valid while runWorklist is active).
+    // Scheduler state (valid while run() is active).
     std::deque<Process *> ready_;
     std::vector<bool> in_queue_;
     bool scheduling_ = false;

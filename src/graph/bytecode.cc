@@ -1055,6 +1055,20 @@ instantiate(dataflow::Engine &engine, const BytecodeProgram &prog,
     return engine.make<BytecodeProc>(prog, inst, chans, mem);
 }
 
+std::vector<dataflow::Process *>
+instantiateAll(dataflow::Engine &engine, const BytecodeProgram &prog,
+               MachineMemory &mem)
+{
+    std::vector<Channel *> chans(prog.numLinks, nullptr);
+    for (size_t i = 0; i < prog.numLinks; ++i)
+        chans[i] = engine.channel(prog.linkNames[i]);
+    std::vector<dataflow::Process *> procs;
+    procs.reserve(prog.insts.size());
+    for (const BcInst &inst : prog.insts)
+        procs.push_back(instantiate(engine, prog, inst, chans, mem));
+    return procs;
+}
+
 /**
  * Everything one context instantiates once and rebinds per request:
  * the machine memory whose DRAM/stats/args pointers move from request
@@ -1070,14 +1084,9 @@ struct ExecutionContext::Impl
     uint64_t runs = 0;
     bool poisoned = false;
 
-    explicit Impl(const BytecodeProgram &p)
-        : prog(p), engine(dataflow::Engine::Policy::worklist)
+    explicit Impl(const BytecodeProgram &p) : prog(p)
     {
-        std::vector<Channel *> chans(prog.numLinks, nullptr);
-        for (size_t i = 0; i < prog.numLinks; ++i)
-            chans[i] = engine.channel(prog.linkNames[i]);
-        for (const BcInst &inst : prog.insts)
-            instantiate(engine, prog, inst, chans, mem);
+        instantiateAll(engine, prog, mem);
     }
 };
 
@@ -1108,7 +1117,6 @@ ExecutionContext::poisoned() const
 ExecStats
 ExecutionContext::run(lang::DramImage &dram,
                       const std::vector<int32_t> &args,
-                      dataflow::Engine::Policy policy,
                       uint64_t max_rounds)
 {
     Impl &im = *impl_;
@@ -1127,7 +1135,6 @@ ExecutionContext::run(lang::DramImage &dram,
     im.mem.beginRun();
     im.engine.reset();
 
-    im.engine.setPolicy(policy);
     // Pessimistic: cleared only when the run reaches quiescence. A
     // throw below (livelock, machine-model violation) leaves channel
     // and memory state mid-request; the reset above makes the *next*
@@ -1143,13 +1150,12 @@ ExecutionContext::run(lang::DramImage &dram,
 
 ExecStats
 execute(const BytecodeProgram &prog, lang::DramImage &dram,
-        const std::vector<int32_t> &args, dataflow::Engine::Policy policy,
-        uint64_t max_rounds)
+        const std::vector<int32_t> &args, uint64_t max_rounds)
 {
     // One-shot path: a throwaway context, so the run sequence has one
     // implementation for both the one-shot and serving paths.
     ExecutionContext ctx(prog);
-    return ctx.run(dram, args, policy, max_rounds);
+    return ctx.run(dram, args, max_rounds);
 }
 
 } // namespace graph

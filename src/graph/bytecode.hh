@@ -8,14 +8,14 @@
  * block bodies concatenated into a single BlockOp table dispatched
  * through graph::evalPureOp. instantiate() turns one instruction into
  * one dataflow::Process whose stepOnce() is a single switch over the
- * opcode, so a program runs on the dataflow::Engine under either
- * scheduling policy (roundRobin / worklist). ExecutionContext builds
- * every process of a run that way and rebinds them per request;
- * execute() is the one-shot form. A raw Dfg runs as
- * execute(BytecodeProgram::compile(dfg), ...).
+ * opcode, so a program runs on the dataflow::Engine. instantiateAll()
+ * wires a whole program that way; ExecutionContext wires once and
+ * rebinds the processes per request, and execute() is the one-shot
+ * form. A raw Dfg runs as execute(BytecodeProgram::compile(dfg), ...).
  *
  * Correctness oracles: DRAM bit-identity with the AST interpreter,
- * bit-identical link traffic under both policies, and hand-built
+ * pinned link traffic under the engine and under seeded shuffled
+ * schedules (tests/dataflow/shuffled_schedule.hh), and hand-built
  * SLTF streams per opcode (tests/dataflow/test_primitives.cc).
  */
 
@@ -100,8 +100,8 @@ struct BcInst
 /**
  * A dataflow graph compiled to flat tables. Immutable after compile()
  * and holds no pointers, so one program can be cached (see
- * core::CompiledArtifact) and executed any number of times, under any
- * scheduling policy, from any thread.
+ * core::CompiledArtifact) and executed any number of times, from any
+ * thread.
  */
 struct BytecodeProgram
 {
@@ -128,8 +128,8 @@ struct MachineMemory;
  * Instantiate @p inst (one of @p prog's instructions) as a process of
  * @p engine, reading and writing chans[link id] and sharing @p mem with
  * the run's other instructions. The one instantiation path: every
- * ExecutionContext builds its processes here, and tests use it to run
- * single instructions on hand-built streams over channels and
+ * program is wired through it (instantiateAll), and tests use it to
+ * run single instructions on hand-built streams over channels and
  * capacities of their choosing. @p prog, @p mem and the channels must
  * outlive the process.
  */
@@ -138,6 +138,19 @@ dataflow::Process *instantiate(dataflow::Engine &engine,
                                const BcInst &inst,
                                const std::vector<dataflow::Channel *> &chans,
                                detail::MachineMemory &mem);
+
+/**
+ * Wire all of @p prog onto @p engine: one unbounded channel per link
+ * (engine channel i carries link i), then one process per instruction
+ * through instantiate(). Returns the processes in instruction order.
+ * The one wiring path: every ExecutionContext runs it once, and the
+ * schedule-independence tests drive the returned processes under
+ * their own schedules. @p prog and @p mem must outlive the engine's
+ * processes.
+ */
+std::vector<dataflow::Process *>
+instantiateAll(dataflow::Engine &engine, const BytecodeProgram &prog,
+               detail::MachineMemory &mem);
 
 /**
  * The per-request half of the compile-once/run-many split.
@@ -171,9 +184,9 @@ class ExecutionContext
 
     /**
      * Serve one request: reset all per-run state, bind @p dram /
-     * @p args, and run the program to quiescence. The policy and
-     * whether the context is fresh or reused are observable only
-     * through stats, never through results.
+     * @p args, and run the program to quiescence. Whether the context
+     * is fresh or reused is observable only through stats, never
+     * through results.
      * @throws std::runtime_error on machine-model violations,
      * livelock, or missing arguments (the context remains
      * reusable: the next run() starts from a full reset, but
@@ -181,8 +194,6 @@ class ExecutionContext
      */
     ExecStats run(lang::DramImage &dram,
                   const std::vector<int32_t> &args,
-                  dataflow::Engine::Policy policy =
-                      dataflow::Engine::Policy::worklist,
                   uint64_t max_rounds =
                       dataflow::Engine::defaultMaxRounds);
 
@@ -203,15 +214,12 @@ class ExecutionContext
 
 /**
  * Execute compiled @p prog against @p dram with main's @p args: a
- * fresh context, run once, torn down. @p policy is observable only
- * through stats.
+ * fresh context, run once, torn down.
  * @throws std::runtime_error on machine-model violations, livelock,
  * a network that fails to drain, or missing arguments.
  */
 ExecStats execute(const BytecodeProgram &prog, lang::DramImage &dram,
                   const std::vector<int32_t> &args,
-                  dataflow::Engine::Policy policy =
-                      dataflow::Engine::Policy::worklist,
                   uint64_t max_rounds = dataflow::Engine::defaultMaxRounds);
 
 } // namespace graph

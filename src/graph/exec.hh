@@ -25,9 +25,9 @@ namespace graph
 
 struct ExecStats
 {
-    /** Working scheduler rounds (same counting rule for both
-     * dataflow::Engine policies: rounds that moved at least one
-     * token; the final certification pass is excluded). */
+    /** Working scheduler rounds (dataflow::Engine ready-deque
+     * generations that moved at least one token; the final
+     * certification pass is excluded). */
     uint64_t engineRounds = 0;
     /** Scheduler observability (see dataflow::SchedStats). */
     uint64_t schedWakeups = 0;
@@ -36,9 +36,9 @@ struct ExecStats
     uint64_t schedStepsSkipped = 0;
     uint64_t schedVerifyPasses = 0;
     /** stepOnce() quanta that made progress. Fixed for a given graph
-     * and input under either policy (tests/graph/test_bytecode.cc pins
-     * it per app), so bench/exec_dispatch.cc reports dispatch cost per
-     * quantum. */
+     * and input under any schedule (tests/graph/test_bytecode.cc pins
+     * it per app, under the engine and under shuffled schedules), so
+     * bench/exec_dispatch.cc reports dispatch cost per quantum. */
     uint64_t schedQuanta = 0;
     uint64_t dramReadElems = 0;
     uint64_t dramWriteElems = 0;

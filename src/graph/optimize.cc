@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -519,7 +520,7 @@ class FactsPass : public GraphPass
 // only barriers"). All rewrites below preserve the barrier structure —
 // they splice streams that are provably identical, narrow bundles lane
 // by lane, or strip effects that provably never fire — so they hold
-// under any engine scheduling policy.
+// under any schedule of the engine.
 
 class CrossBlockConstProp : public FactsPass
 {
@@ -538,7 +539,7 @@ class CrossBlockConstProp : public FactsPass
         rewrites += spliceAlwaysKeepFilters(g, s, vals, taint, orphans);
         rewrites += spliceSingleArmMerges(g, s, vals, taint, orphans);
         rewrites += inlineConstInputs(g, s, vals, taint, orphans);
-        rewrites += reroutePassThroughLanes(g, s);
+        rewrites += reroutePassThroughLanes(g, s, taint);
         rewrites += stripUnreachableEffects(g, s, vals);
 
         while (!orphans.empty()) {
@@ -581,6 +582,60 @@ class CrossBlockConstProp : public FactsPass
               case OpKind::dramRead:
               case OpKind::dramWrite:
                 return true;
+              default:
+                break;
+            }
+        }
+        return false;
+    }
+
+    /** DRAM regions some block of @p g writes. */
+    static std::set<int>
+    dramWrittenRegions(const Dfg &g)
+    {
+        std::set<int> written;
+        for (const Node &n : g.nodes) {
+            for (const auto &op : n.ops) {
+                if (op.kind == OpKind::dramWrite)
+                    written.insert(op.dram);
+            }
+        }
+        return written;
+    }
+
+    /**
+     * The accesses of touchesMemory() whose timing another process can
+     * observe: any DRAM write, a DRAM read of a region some block
+     * writes (@p written), or an SRAM access through a handle @p n did
+     * not allocate itself. A fresh buffer's allocation and
+     * initialisation race nothing: every later access needs the
+     * handle, and the handle leaves through @p n's outputs.
+     */
+    static bool
+    ordersMemory(const Node &n, const std::set<int> &written)
+    {
+        auto allocatedHere = [&n](int reg) {
+            for (const auto &op : n.ops) {
+                if (op.kind == OpKind::sramAlloc && op.dst == reg)
+                    return true;
+            }
+            return false;
+        };
+        for (const auto &op : n.ops) {
+            switch (op.kind) {
+              case OpKind::dramWrite:
+                return true;
+              case OpKind::dramRead:
+                if (written.count(op.dram))
+                    return true;
+                break;
+              case OpKind::sramRead:
+              case OpKind::sramWrite:
+              case OpKind::rmwAdd:
+              case OpKind::rmwSub:
+                if (!allocatedHere(op.a))
+                    return true;
+                break;
               default:
                 break;
             }
@@ -795,11 +850,21 @@ class CrossBlockConstProp : public FactsPass
      * input lane whose producer is a fanout carries exactly the
      * fanout's stream (same data, same barriers): serve the consumer
      * from the fanout directly and drop the lane from the block.
+     *
+     * The values are the same but the timing is not: the rerouted
+     * consumer no longer waits for the block to fire. When the block
+     * carries memory ordering — an ordersMemory() access of its own,
+     * or another input in @p taint, e.g. the foreach sync token that
+     * follows an SRAM table fill — the lane may only go if the
+     * consumer still waits for the block some other way
+     * (orderKeptWithout).
      */
     static int
-    reroutePassThroughLanes(Dfg &g, Surgeon &s)
+    reroutePassThroughLanes(Dfg &g, Surgeon &s,
+                            const std::vector<char> &taint)
     {
         int rewrites = 0;
+        const std::set<int> written = dramWrittenRegions(g);
         const size_t n_nodes = g.nodes.size();
         for (size_t i = 0; i < n_nodes; ++i) {
             Node &n = g.nodes[i];
@@ -840,6 +905,11 @@ class CrossBlockConstProp : public FactsPass
                     g.links[in_l].elem != g.links[out_l].elem) {
                     continue;
                 }
+                bool ordering = ordersMemory(n, written);
+                for (int l : n.ins)
+                    ordering |= l != in_l && taint[l];
+                if (ordering && !orderKeptWithout(g, n, out_l))
+                    continue;
                 g.nodes[p].outs.push_back(out_l);
                 g.links[out_l].src = p;
                 n.outs.erase(n.outs.begin() + k);
@@ -848,6 +918,42 @@ class CrossBlockConstProp : public FactsPass
             }
         }
         return rewrites;
+    }
+
+    /**
+     * True if the consumer of @p out_l (an output of block @p n) still
+     * fires only after @p n once @p out_l stops coming from @p n: it
+     * is a sink (no effects to order), or another output of @p n feeds
+     * the same input bundle of it — a block's or filter's inputs, or
+     * one arm of a merge — and bundles assemble per thread.
+     */
+    static bool
+    orderKeptWithout(const Dfg &g, const Node &n, int out_l)
+    {
+        const Node &c = g.nodes[g.links[out_l].dst];
+        if (c.kind == NodeKind::sink)
+            return true;
+        auto bundle = [&c](int l) {
+            switch (c.kind) {
+              case NodeKind::block:
+              case NodeKind::filter:
+                return 0;
+              case NodeKind::fwdMerge:
+              case NodeKind::fbMerge:
+                return indexOf(c.ins, l) < static_cast<int>(c.outs.size())
+                           ? 0 : 1;
+              default:
+                return -1;
+            }
+        };
+        const int want = bundle(out_l);
+        if (want < 0)
+            return false;
+        for (int o : n.outs) {
+            if (o != out_l && g.links[o].dst == c.id && bundle(o) == want)
+                return true;
+        }
+        return false;
     }
 
     /**

@@ -109,7 +109,7 @@ struct GraphPassOptions
 /**
  * One graph rewrite. Implementations must keep the graph consistent
  * (verify()-clean) and semantics-preserving: same DRAM output for any
- * input under any engine scheduling policy.
+ * input under any schedule of the engine.
  */
 class GraphPass
 {

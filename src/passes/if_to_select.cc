@@ -171,8 +171,7 @@ ifToSelect(Program &program)
 void
 runPipeline(Program &program, const PassOptions &opts)
 {
-    if (opts.lowerAdapters)
-        lowerAdapters(program);
+    lowerAdapters(program);
     if (opts.eliminateHierarchy)
         eliminateHierarchy(program);
     if (opts.ifToSelect)

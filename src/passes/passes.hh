@@ -39,12 +39,13 @@ namespace passes
 {
 
 /** HIR pass toggles, mirroring the ablation study of Figure 12.
+ * Adapter lowering has no toggle: the graph lowering needs it, so
+ * runPipeline always runs it first.
  * (The graph-level toggle — allocator hoisting — lives in
  * graph::GraphToggles, owned by core::CompileOptions; sub-word packing
  * and replicate bufferization are graph::GraphPassOptions passes.) */
 struct PassOptions
 {
-    bool lowerAdapters = true;
     bool eliminateHierarchy = true; ///< honor eliminate_hierarchy pragmas
     bool ifToSelect = true;
 };

@@ -27,7 +27,6 @@
 #include "core/serve.hh"
 
 using namespace revet;
-using dataflow::Engine;
 
 namespace
 {
@@ -433,7 +432,7 @@ TEST(ServeResidue, PoisonedContextSelfHeals)
     lang::DramImage dram(artifact->hir());
     auto args = app.generate(dram, 4);
     EXPECT_THROW(
-        ctx->run(dram, args, Engine::Policy::worklist, /*max_rounds=*/0),
+        ctx->run(dram, args, /*max_rounds=*/0),
         std::runtime_error);
     EXPECT_TRUE(ctx->poisoned());
     EXPECT_EQ(ctx->runsServed(), 0u);

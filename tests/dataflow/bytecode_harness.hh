@@ -8,7 +8,9 @@
  * own Engine through graph::instantiate — the path every
  * ExecutionContext takes. StreamSource and StreamSink inject and
  * capture the hand-built streams; they are the only dataflow::Process
- * subclasses outside the bytecode executor.
+ * subclasses outside the bytecode executor. processes() lists every
+ * process the harness made, so a test can drive them under a
+ * schedule of its own (shuffled_schedule.hh) instead of engine.run().
  *
  * Typical use:
  * @code
@@ -138,9 +140,7 @@ cnst(int dst, Word imm)
 class BytecodeHarness
 {
   public:
-    explicit BytecodeHarness(
-        dataflow::Engine::Policy policy = dataflow::Engine::Policy::worklist)
-        : engine(policy)
+    BytecodeHarness()
     {
         mem_.stats = &stats;
         mem_.args = &args;
@@ -260,14 +260,15 @@ class BytecodeHarness
     StreamSource *
     inject(const std::string &name, Channel *out, TokenStream stream)
     {
-        return engine.make<StreamSource>(name, out, std::move(stream));
+        return track(
+            engine.make<StreamSource>(name, out, std::move(stream)));
     }
 
     /** Capture everything arriving on @p in (test-side endpoint). */
     StreamSink *
     capture(const std::string &name, Channel *in)
     {
-        return engine.make<StreamSink>(name, in);
+        return track(engine.make<StreamSink>(name, in));
     }
 
     /** Compile the graph and instantiate every instruction. Call once,
@@ -277,7 +278,14 @@ class BytecodeHarness
     {
         prog_ = graph::BytecodeProgram::compile(graph_);
         for (const graph::BcInst &inst : prog_.insts)
-            graph::instantiate(engine, prog_, inst, chans_, mem_);
+            track(graph::instantiate(engine, prog_, inst, chans_, mem_));
+    }
+
+    /** Every process made so far, in creation order. */
+    const std::vector<dataflow::Process *> &
+    processes() const
+    {
+        return procs_;
     }
 
     /** Memory and park counters the instructions update. */
@@ -286,6 +294,14 @@ class BytecodeHarness
     std::vector<int32_t> args;
 
   private:
+    template <typename P>
+    P *
+    track(P *proc)
+    {
+        procs_.push_back(proc);
+        return proc;
+    }
+
     int
     linkOf(const Channel *ch) const
     {
@@ -304,6 +320,7 @@ class BytecodeHarness
     graph::BytecodeProgram prog_;
     graph::detail::MachineMemory mem_;
     std::vector<Channel *> chans_;
+    std::vector<dataflow::Process *> procs_;
 
   public:
     /** Declared last so its processes go before what they reference. */

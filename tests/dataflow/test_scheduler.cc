@@ -3,17 +3,20 @@
  * Scheduler translation validation (WaveCert-style) and backpressure
  * tests.
  *
- * The equivalence suite runs every Table III app fixture and a set of
- * language fixtures under both Engine::Policy values — roundRobin and
- * worklist — and asserts the executions are bit-identical — same DRAM
- * bytes, same per-link token counts, same drained flag — and that both
+ * The equivalence suite runs every Table III app fixture (at scale 16;
+ * tests/graph/test_bytecode.cc holds scale 4 to golden pins) and a set
+ * of language fixtures on the engine and under seeded shuffled
+ * schedules (shuffled_schedule.hh), and asserts the executions are
+ * bit-identical — same DRAM bytes, same per-link token and barrier
+ * counts, same useful quanta, drained, no park residue — and that all
  * match the AST reference interpreter. Kahn-network determinism says
- * scheduling order cannot be observable; these tests certify our
- * schedulers actually keep that promise, so the hot path can be
+ * scheduling order cannot be observable; these tests certify the
+ * engine actually keeps that promise, so the hot path can be
  * refactored without risking bit-identity with the interpreter.
  *
  * The engine, backpressure and stall-report tests run bytecode
- * instructions on hand-built streams (bytecode_harness.hh): push on a
+ * instructions on hand-built streams (bytecode_harness.hh), on the
+ * engine and under the same shuffled schedules: push on a
  * full channel throws (capacity 1 and the degenerate capacity 0),
  * full -> non-full transitions wake blocked producers, and stall
  * reports name internally blocked instructions even when every channel
@@ -28,11 +31,13 @@
 #include "interp/interp.hh"
 #include "lang/parse.hh"
 #include "passes/passes.hh"
+#include "shuffled_schedule.hh"
 #include "sltf/codec.hh"
 
 using namespace revet;
 using namespace revet::dataflow;
 using namespace revet::bytecode_test;
+using namespace revet::shuffled_test;
 using lang::DramImage;
 using revet::sltf::StreamBuilder;
 using revet::sltf::TokenStream;
@@ -40,40 +45,37 @@ using revet::sltf::TokenStream;
 namespace
 {
 
-constexpr Engine::Policy kPolicies[] = {Engine::Policy::roundRobin,
-                                        Engine::Policy::worklist};
+using Generate = std::function<std::vector<int32_t>(DramImage &)>;
 
-struct PolicyRun
+/** One execution: its stats and the DRAM regions it left. */
+struct Run
 {
     graph::ExecStats stats;
     std::vector<std::vector<uint8_t>> dram_bytes;
 };
 
-/** Execute @p prog under @p policy on a freshly generated image. */
-PolicyRun
-runUnderPolicy(const CompiledArtifact &prog,
-               const std::function<std::vector<int32_t>(DramImage &)>
-                   &generate,
-               Engine::Policy policy)
+/** Execute @p prog on a freshly generated image: on the engine when
+ * @p seed is empty, else under the shuffled schedule @p *seed. */
+Run
+runOnce(const CompiledArtifact &prog, const Generate &generate,
+        std::optional<uint64_t> seed)
 {
-    PolicyRun out;
+    Run out;
     DramImage dram(prog.hir());
     auto args = generate(dram);
-    out.stats = graph::execute(prog.bytecode(), dram, args, policy);
+    out.stats = runSchedule(prog.bytecode(), dram, args, seed);
     for (int d = 0; d < dram.dramCount(); ++d)
         out.dram_bytes.push_back(dram.bytes(d));
     return out;
 }
 
 /**
- * Compile @p source, run it under both policies plus the interpreter,
- * and assert all three agree bit-for-bit.
+ * Compile @p source, run it on the engine, under every shuffled
+ * schedule and in the interpreter, and assert all agree bit-for-bit.
  */
 void
-expectPoliciesEquivalent(
-    const std::string &source,
-    const std::function<std::vector<int32_t>(DramImage &)> &generate,
-    const std::string &label)
+expectScheduleIndependent(const std::string &source,
+                          const Generate &generate, const std::string &label)
 {
     auto prog = CompiledArtifact::build(source);
 
@@ -81,30 +83,35 @@ expectPoliciesEquivalent(
     auto args = generate(ref);
     prog->interpret(ref, args);
 
-    PolicyRun rr = runUnderPolicy(*prog, generate,
-                                  Engine::Policy::roundRobin);
-    PolicyRun wl = runUnderPolicy(*prog, generate,
-                                  Engine::Policy::worklist);
-
-    EXPECT_TRUE(rr.stats.drained) << label;
-    EXPECT_TRUE(wl.stats.drained) << label;
-    EXPECT_EQ(rr.stats.linkTokens, wl.stats.linkTokens)
-        << label << ": per-link token counts diverged between policies";
-    EXPECT_EQ(rr.stats.linkBarriers, wl.stats.linkBarriers) << label;
-    ASSERT_EQ(rr.dram_bytes.size(), wl.dram_bytes.size()) << label;
-    for (size_t d = 0; d < rr.dram_bytes.size(); ++d) {
-        EXPECT_EQ(rr.dram_bytes[d], wl.dram_bytes[d])
-            << label << ": DRAM region " << d
-            << " diverged between policies";
-        EXPECT_EQ(ref.bytes(static_cast<int>(d)), wl.dram_bytes[d])
+    const Run engine = runOnce(*prog, generate, std::nullopt);
+    EXPECT_TRUE(engine.stats.drained) << label;
+    // The engine must never rely on its certification fallback: a
+    // missed wakeup is a notification-wiring bug even though the
+    // rescan would mask it functionally.
+    EXPECT_EQ(engine.stats.schedVerifyPasses, 1u)
+        << label << ": engine needed more than one quiescence rescan";
+    ASSERT_EQ(engine.dram_bytes.size(),
+              static_cast<size_t>(ref.dramCount()))
+        << label;
+    for (size_t d = 0; d < engine.dram_bytes.size(); ++d) {
+        EXPECT_EQ(ref.bytes(static_cast<int>(d)), engine.dram_bytes[d])
             << label << ": DRAM region " << d
             << " diverged from the AST interpreter";
     }
-    // The worklist path must never rely on its certification fallback:
-    // a missed wakeup is a notification-wiring bug even though the
-    // rescan would mask it functionally.
-    EXPECT_EQ(wl.stats.schedVerifyPasses, 1u)
-        << label << ": worklist needed more than one quiescence rescan";
+
+    for (uint64_t seed : scheduleSeeds()) {
+        const std::string where = label + " [" + scheduleName(seed) + "]";
+        const Run sh = runOnce(*prog, generate, seed);
+        EXPECT_TRUE(sh.stats.drained) << where;
+        EXPECT_EQ(sh.stats.sramParkedEnd, 0u) << where;
+        EXPECT_EQ(sh.stats.linkTokens, engine.stats.linkTokens)
+            << where << ": per-link token counts diverged";
+        EXPECT_EQ(sh.stats.linkBarriers, engine.stats.linkBarriers)
+            << where;
+        EXPECT_EQ(sh.stats.schedQuanta, engine.stats.schedQuanta) << where;
+        EXPECT_EQ(sh.dram_bytes, engine.dram_bytes)
+            << where << ": DRAM diverged from the engine's run";
+    }
 }
 
 } // namespace
@@ -118,17 +125,17 @@ class SchedulerEquivalence : public ::testing::TestWithParam<std::string>
 TEST_P(SchedulerEquivalence, AppBitIdenticalUnderAllPolicies)
 {
     const apps::App &app = apps::findApp(GetParam());
-    const int scale = 4;
-    expectPoliciesEquivalent(
+    const int scale = 16;
+    expectScheduleIndependent(
         app.source,
         [&](DramImage &dram) { return app.generate(dram, scale); },
         app.name);
 
-    // And the golden verifier must pass under the worklist policy.
+    // And the golden verifier must pass on the engine's run.
     auto prog = CompiledArtifact::build(app.source);
     DramImage dram(prog->hir());
     auto args = app.generate(dram, scale);
-    graph::execute(prog->bytecode(), dram, args, Engine::Policy::worklist);
+    graph::execute(prog->bytecode(), dram, args);
     EXPECT_EQ(app.verify(dram, scale), "") << app.name;
 }
 
@@ -155,7 +162,7 @@ TEST(SchedulerEquivalence, LanguageFixtures)
     {
         const char *label;
         const char *source;
-        std::function<std::vector<int32_t>(DramImage &)> generate;
+        Generate generate;
     };
     const std::vector<Fixture> fixtures = {
         {"branchy-if",
@@ -272,7 +279,7 @@ TEST(SchedulerEquivalence, LanguageFixtures)
          }},
     };
     for (const auto &f : fixtures)
-        expectPoliciesEquivalent(f.source, f.generate, f.label);
+        expectScheduleIndependent(f.source, f.generate, f.label);
 }
 
 // ---------------------------------------------------------------------
@@ -297,49 +304,65 @@ incChain(BytecodeHarness &h, Channel *cur, const std::string &prefix,
     return cur;
 }
 
+/** Run @p h to quiescence on the engine, or under the shuffled
+ * schedule @p seed. */
+void
+runOn(BytecodeHarness &h, std::optional<uint64_t> seed)
+{
+    if (seed)
+        runSweeps(h.processes(), *seed);
+    else
+        h.engine.run();
+}
+
 } // namespace
 
 TEST(WorklistScheduler, SparsePipelineSkipsIdleStages)
 {
     // 8 identical 8-stage pipelines; only pipeline 0 has input. The
-    // worklist policy must not burn steps scanning the 7 idle replicas.
-    BytecodeHarness rr(Engine::Policy::roundRobin);
-    BytecodeHarness wl(Engine::Policy::worklist);
-    TokenStream collected_rr;
-    for (BytecodeHarness *h : {&rr, &wl}) {
+    // scheduler must not burn steps scanning the 7 idle replicas: a
+    // full scan per round would step every process every round.
+    auto build = [](BytecodeHarness &h) {
         StreamSink *sink = nullptr;
         for (int rep = 0; rep < 8; ++rep) {
             const std::string prefix = "p" + std::to_string(rep);
-            Channel *cur = h->channel(prefix + ".in", 1);
+            Channel *cur = h.channel(prefix + ".in", 1);
             if (rep == 0) {
                 StreamBuilder sb;
                 for (int i = 0; i < 50; ++i)
                     sb.d(i);
                 sb.b(1);
-                h->inject("src", cur, sb.build());
+                h.inject("src", cur, sb.build());
             }
-            cur = incChain(*h, cur, prefix, 8, 1);
-            StreamSink *s = h->capture("sink", cur);
+            cur = incChain(h, cur, prefix, 8, 1);
+            StreamSink *s = h.capture("sink", cur);
             if (rep == 0)
                 sink = s;
         }
-        h->build();
-        h->engine.run();
-        EXPECT_TRUE(h->engine.drained());
-        ASSERT_NE(sink, nullptr);
-        if (h == &rr)
-            collected_rr = sink->collected();
-        else
-            EXPECT_EQ(sink->collected(), collected_rr);
+        h.build();
+        return sink;
+    };
+    BytecodeHarness wl;
+    const StreamSink *sink = build(wl);
+    wl.engine.run();
+    EXPECT_TRUE(wl.engine.drained());
+    const SchedStats &s = wl.engine.schedStats();
+    const uint64_t procs = wl.processes().size();
+    EXPECT_EQ(s.missedWakeups, 0u);
+    EXPECT_GT(s.stepsSkipped, 0u);
+    EXPECT_LT(s.steps, s.rounds * procs / 2)
+        << "the scheduler should step far fewer primitives on a sparse "
+           "graph than a full scan per round";
+    ASSERT_EQ(sink->collected().size(), 51u);
+
+    for (uint64_t seed : scheduleSeeds()) {
+        BytecodeHarness sh;
+        const StreamSink *shuffled_sink = build(sh);
+        EXPECT_EQ(runSweeps(sh.processes(), seed), s.quanta)
+            << "seed " << seed << ": every schedule does the same work";
+        EXPECT_EQ(shuffled_sink->collected(), sink->collected())
+            << "seed " << seed;
     }
-    const SchedStats &srr = rr.engine.schedStats();
-    const SchedStats &swl = wl.engine.schedStats();
-    EXPECT_EQ(swl.missedWakeups, 0u);
-    EXPECT_LT(swl.steps, srr.steps / 2)
-        << "worklist should step far fewer primitives on a sparse graph";
-    EXPECT_GT(swl.stepsSkipped, 0u);
-    EXPECT_EQ(srr.quanta, swl.quanta)
-        << "both policies must do identical useful work";
 }
 
 TEST(WorklistScheduler, ExternalPushesBetweenRunsAreScheduled)
@@ -365,31 +388,28 @@ TEST(WorklistScheduler, QuiescingInExactlyMaxRoundsIsNotLivelock)
     // Regression for the off-by-one: the final no-progress pass used to
     // count as a round and trip the cap on networks that finish right
     // at max_rounds.
-    for (Engine::Policy policy : kPolicies) {
-        // One token per round -> deterministic round count.
-        auto build = [](BytecodeHarness &h) {
-            h.engine.setBurst(1);
-            auto *in = h.channel("in");
-            auto *out = h.channel("out");
-            h.inject("src", in, StreamBuilder().d(1).b(1));
-            h.capture("sink", out);
-            h.flatten("flat", in, out);
-            h.build();
-        };
-        // First measure the exact working-round count...
-        uint64_t rounds = 0;
-        {
-            BytecodeHarness m(policy);
-            build(m);
-            rounds = m.engine.run();
-        }
-        ASSERT_GT(rounds, 0u);
-        // ...then a cap of exactly that count must succeed.
-        BytecodeHarness h(policy);
-        build(h);
-        EXPECT_EQ(h.engine.run(rounds), rounds);
-        EXPECT_TRUE(h.engine.drained());
+    auto build = [](BytecodeHarness &h) {
+        auto *in = h.channel("in");
+        auto *out = h.channel("out");
+        h.inject("src", in, StreamBuilder().d(1).b(1));
+        h.capture("sink", out);
+        h.flatten("flat", in, out);
+        h.build();
+    };
+    // First measure the exact working-round count (deterministic for
+    // one scheduler)...
+    uint64_t rounds = 0;
+    {
+        BytecodeHarness m;
+        build(m);
+        rounds = m.engine.run();
     }
+    ASSERT_GT(rounds, 0u);
+    // ...then a cap of exactly that count must succeed.
+    BytecodeHarness h;
+    build(h);
+    EXPECT_EQ(h.engine.run(rounds), rounds);
+    EXPECT_TRUE(h.engine.drained());
 }
 
 TEST(WorklistScheduler, LivelockMessageNamesWorkingRounds)
@@ -418,11 +438,13 @@ TEST(WorklistScheduler, LivelockMessageNamesWorkingRounds)
 TEST(EngineFaults, PrimitiveExceptionReachesCallerAndEngineRecovers)
 {
     // A throwing instruction must surface its exception from run()
-    // under every policy, and the engine must stay usable: the next
-    // run() re-seeds its scheduler state and finishes the remaining
-    // work. The block faults (division by zero) on token 7 only.
-    for (Engine::Policy policy : kPolicies) {
-        BytecodeHarness h(policy);
+    // (and from a shuffled schedule), and the engine must stay usable:
+    // the next run() re-seeds its scheduler state and finishes the
+    // remaining work. The block faults (division by zero) on token 7
+    // only.
+    for (std::optional<uint64_t> seed : allSchedules()) {
+        SCOPED_TRACE(scheduleName(seed));
+        BytecodeHarness h;
         auto *a = h.channel("a");
         auto *b = h.channel("b");
         h.inject("src", a, StreamBuilder().d(7).d(8).b(1));
@@ -435,7 +457,7 @@ TEST(EngineFaults, PrimitiveExceptionReachesCallerAndEngineRecovers)
         auto *sink = h.capture("sink", b);
         h.build();
         try {
-            h.engine.run();
+            runOn(h, seed);
             FAIL() << "expected the instruction's exception to propagate";
         } catch (const std::runtime_error &err) {
             EXPECT_NE(std::string(err.what()).find("division by zero"),
@@ -445,7 +467,7 @@ TEST(EngineFaults, PrimitiveExceptionReachesCallerAndEngineRecovers)
                       std::string::npos)
                 << err.what();
         }
-        h.engine.run();
+        runOn(h, seed);
         EXPECT_TRUE(h.engine.drained());
         // The faulting firing consumed token 7; the rest gets through.
         EXPECT_EQ(sink->collected(),
@@ -483,8 +505,9 @@ TEST(Backpressure, CapacityZeroChannelRejectsEveryPush)
 
 TEST(Backpressure, CapacityOnePipelineDrainsUnderEveryPolicy)
 {
-    for (Engine::Policy policy : kPolicies) {
-        BytecodeHarness h(policy);
+    for (std::optional<uint64_t> seed : allSchedules()) {
+        SCOPED_TRACE(scheduleName(seed));
+        BytecodeHarness h;
         auto *a = h.channel("a", 1);
         auto *c = h.channel("c", 1);
         StreamBuilder sb;
@@ -496,7 +519,7 @@ TEST(Backpressure, CapacityOnePipelineDrainsUnderEveryPolicy)
         h.flatten("flat", b, c);
         auto *sink = h.capture("sink", c);
         h.build();
-        h.engine.run();
+        runOn(h, seed);
         EXPECT_TRUE(h.engine.drained());
         ASSERT_EQ(sink->collected().size(), 100u);
         for (size_t i = 0; i < 100; ++i)
@@ -509,13 +532,14 @@ TEST(Backpressure, CapacityZeroOutputStallsWithoutLivelock)
     // A source instruction feeding a capacity-0 channel can never make
     // progress; the engine must quiesce (not spin) and the stall report
     // must name the blocked source even though every channel is empty.
-    for (Engine::Policy policy : kPolicies) {
-        BytecodeHarness h(policy);
+    for (std::optional<uint64_t> seed : allSchedules()) {
+        SCOPED_TRACE(scheduleName(seed));
+        BytecodeHarness h;
         h.args = {1};
         auto *dead = h.channel("dead", 0);
         h.node(graph::NodeKind::source, "stuckSrc", {}, {dead});
         h.build();
-        h.engine.run();
+        runOn(h, seed);
         EXPECT_TRUE(h.engine.drained()) << "capacity-0 channel holds nothing";
         std::string report = h.engine.stallReport();
         EXPECT_NE(report.find("source(stuckSrc#0): 2 tokens pending"),
@@ -531,7 +555,7 @@ TEST(Backpressure, FullToNonFullTransitionWakesProducer)
     // Producer blocks on a full bounded channel; only the consumer's
     // pop can unblock it. If the worklist misses the full->non-full
     // wakeup, the quiescence rescan records it — assert it doesn't.
-    BytecodeHarness h(Engine::Policy::worklist);
+    BytecodeHarness h;
     auto *narrow = h.channel("narrow", 1);
     auto *wide = h.channel("wide");
     StreamBuilder sb;

@@ -7,7 +7,7 @@
  * The fixture tests compile language programs and check the facts the
  * solver must prove: a constant surviving two block boundaries feeds
  * CrossBlockConstProp (the optimized graph collapses and stays
- * bit-identical under both engine policies), and a range-narrow but
+ * bit-identical under every schedule), and a range-narrow but
  * i32-typed diamond packs across its filter/merge (a "dpack" group
  * appears) without changing any DRAM byte. Value lints (guaranteed
  * overflow, dead filter arm) surface through analyzeGraph().
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "../dataflow/shuffled_schedule.hh"
 #include "core/revet.hh"
 #include "graph/absint.hh"
 #include "graph/analyze.hh"
@@ -29,6 +30,9 @@
 using namespace revet;
 using namespace revet::graph;
 using lang::DramImage;
+using shuffled_test::allSchedules;
+using shuffled_test::runSchedule;
+using shuffled_test::scheduleName;
 
 namespace
 {
@@ -38,8 +42,8 @@ using Generate = std::function<std::vector<int32_t>(DramImage &)>;
 /**
  * Compile @p source unoptimized and with @p gopts, run both graphs and
  * the AST interpreter on identically generated images, and assert every
- * DRAM region is bit-identical under both scheduling policies. Returns
- * the optimized graph for structural assertions.
+ * DRAM region is bit-identical on the engine and under every shuffled
+ * schedule. Returns the optimized graph for structural assertions.
  */
 Dfg
 expectOptimizedEquivalent(const std::string &source,
@@ -60,14 +64,14 @@ expectOptimizedEquivalent(const std::string &source,
     auto args = generate(ref);
     ref_prog->interpret(ref, args);
 
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (std::optional<uint64_t> sched : allSchedules()) {
+        SCOPED_TRACE(scheduleName(sched));
         DramImage a(ref_prog->hir());
         generate(a);
-        auto sa = graph::execute(ref_prog->bytecode(), a, args, policy);
+        auto sa = runSchedule(ref_prog->bytecode(), a, args, sched);
         DramImage b(opt_prog->hir());
         generate(b);
-        auto sb = graph::execute(opt_prog->bytecode(), b, args, policy);
+        auto sb = runSchedule(opt_prog->bytecode(), b, args, sched);
         EXPECT_TRUE(sa.drained && sb.drained) << label;
         for (int d = 0; d < ref.dramCount(); ++d) {
             EXPECT_EQ(a.bytes(d), b.bytes(d))

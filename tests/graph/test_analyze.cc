@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <iterator>
 
+#include "../dataflow/shuffled_schedule.hh"
 #include "apps/apps.hh"
 #include "core/revet.hh"
 #include "graph/absint.hh"
@@ -41,6 +42,9 @@
 using namespace revet;
 using namespace revet::graph;
 using lang::DramImage;
+using shuffled_test::allSchedules;
+using shuffled_test::runSchedule;
+using shuffled_test::scheduleName;
 
 namespace
 {
@@ -741,11 +745,11 @@ TEST(AnalyzeDeadlock, KeyedParkMinSafeMatchesExecutedPeak)
 
     lang::Program prog = outProgram();
     auto bc = graph::BytecodeProgram::compile(g);
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (std::optional<uint64_t> sched : allSchedules()) {
+        SCOPED_TRACE(scheduleName(sched));
         DramImage dram(prog);
         dram.resize("out", n * 4);
-        auto stats = graph::execute(bc, dram, {}, policy, 1u << 24);
+        auto stats = runSchedule(bc, dram, {}, sched);
         EXPECT_TRUE(stats.drained);
         EXPECT_EQ(stats.sramParkedPeak,
                   static_cast<uint64_t>(rep.parks[0].minSafeSlots))

@@ -12,6 +12,7 @@
 #include <numeric>
 #include <random>
 
+#include "../dataflow/shuffled_schedule.hh"
 #include "graph/bytecode.hh"
 #include "graph/exec.hh"
 #include "graph/lower.hh"
@@ -22,6 +23,9 @@
 using namespace revet;
 using lang::DramImage;
 using lang::Program;
+using shuffled_test::allSchedules;
+using shuffled_test::runSchedule;
+using shuffled_test::scheduleName;
 
 namespace
 {
@@ -734,11 +738,11 @@ TEST(DataflowExec, KeyedRestoreRepairsOutOfOrderThreads)
 {
     const int n = 8;
     auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n));
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (std::optional<uint64_t> sched : allSchedules()) {
+        SCOPED_TRACE(scheduleName(sched));
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(bc, dram, {}, policy, 1u << 24);
+        auto stats = runSchedule(bc, dram, {}, sched);
         EXPECT_TRUE(stats.drained);
         auto out = dram.read<int32_t>("out");
         for (int i = 0; i < n; ++i) {
@@ -756,11 +760,11 @@ TEST(DataflowExec, ParkedSlotHighWaterMark)
     // occupancy high-water mark is exactly n, regardless of schedule.
     const int n = 8;
     auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n));
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (std::optional<uint64_t> sched : allSchedules()) {
+        SCOPED_TRACE(scheduleName(sched));
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(bc, dram, {}, policy, 1u << 24);
+        auto stats = runSchedule(bc, dram, {}, sched);
         EXPECT_EQ(stats.sramParkedPeak, static_cast<uint64_t>(n));
     }
 }
@@ -774,11 +778,11 @@ TEST(DataflowExec, DeadThreadParkSlotsReclaimedAtBatchClose)
     // used to read n/2 here).
     const int n = 8;
     auto bc = graph::BytecodeProgram::compile(deadThreadRestoreGraph(n));
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (std::optional<uint64_t> sched : allSchedules()) {
+        SCOPED_TRACE(scheduleName(sched));
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(bc, dram, {}, policy, 1u << 24);
+        auto stats = runSchedule(bc, dram, {}, sched);
         EXPECT_TRUE(stats.drained);
         // All n values parked; none left behind after batch close.
         EXPECT_EQ(stats.sramParkedElems, static_cast<uint64_t>(n));
@@ -800,8 +804,7 @@ TEST(DataflowExec, KeyedRestoreLeavesNoResidueOnHealthyGraphs)
     auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n));
     DramImage dram(outProgram());
     dram.resize("out", n * 4);
-    auto stats = graph::execute(bc, dram, {},
-                                dataflow::Engine::Policy::worklist, 1u << 24);
+    auto stats = graph::execute(bc, dram, {}, 1u << 24);
     EXPECT_TRUE(stats.drained);
     EXPECT_EQ(stats.sramParkedEnd, 0u);
 }
@@ -822,8 +825,7 @@ TEST(DataflowExec, BytecodeStallReportNamesProcesses)
     DramImage dram(outProgram());
     dram.resize("out", (n + 1) * 4);
     try {
-        graph::execute(bc, dram, {}, dataflow::Engine::Policy::worklist,
-                       1u << 20);
+        graph::execute(bc, dram, {}, 1u << 20);
         FAIL() << "expected the missing-key graph to stall";
     } catch (const std::runtime_error &err) {
         const std::string msg = err.what();

@@ -19,7 +19,9 @@
  * Each optimizer configuration (every pass alone, plus the full
  * pipeline) runs on >= 200 generated graphs; the optimized graph must
  * stay verify()-clean and produce bit-identical DRAM output to the
- * unoptimized graph under both engine scheduling policies. Failures
+ * unoptimized graph, on the engine and under a shuffled schedule
+ * seeded from the graph's seed (tests/dataflow/shuffled_schedule.hh),
+ * so every graph sees a different schedule. Failures
  * shrink by regenerating the same seed with fewer stages and print
  * the seed, configuration, and offending graph's toDot() so the case
  * can be replayed:
@@ -42,10 +44,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "../dataflow/shuffled_schedule.hh"
 #include "graph/absint.hh"
 #include "graph/bytecode.hh"
 #include "graph/dfg.hh"
@@ -882,7 +886,7 @@ passConfig(const std::string &which)
 
 std::vector<std::vector<uint8_t>>
 runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
-         dataflow::Engine::Policy policy,
+         std::optional<uint64_t> schedule,
          graph::ExecStats *statsOut = nullptr)
 {
     DramImage dram(dramProgram());
@@ -893,8 +897,8 @@ runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
     dram.fill("in", input);
     dram.resize("scratch", static_cast<size_t>(scratchElems) * 4);
     dram.resize("out", static_cast<size_t>(outElems) * 4);
-    auto stats = graph::execute(graph::BytecodeProgram::compile(g), dram,
-                                {}, policy, 1u << 24);
+    auto stats = shuffled_test::runSchedule(
+        graph::BytecodeProgram::compile(g), dram, {}, schedule);
     EXPECT_TRUE(stats.drained);
     if (statsOut)
         *statsOut = stats;
@@ -963,53 +967,45 @@ diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
     } catch (const std::exception &err) {
         return std::string("optimizer/verify threw: ") + err.what();
     }
-    struct PolicyCase
-    {
-        dataflow::Engine::Policy policy;
-        const char *name;
-    };
-    const PolicyCase cases[] = {
-        {dataflow::Engine::Policy::roundRobin, "roundRobin"},
-        {dataflow::Engine::Policy::worklist, "worklist"},
-    };
-    bool oracle_done = false;
-    std::vector<std::vector<uint8_t>> first_raw;
-    for (const auto &pc : cases) {
+    // The engine, then one shuffled schedule derived from the graph's
+    // seed, so a REVET_FUZZ_SEED replay reruns the same schedule.
+    const std::optional<uint64_t> schedules[] = {
+        std::nullopt, uint64_t{seed} * 0x9e3779b97f4a7c15ull};
+    std::vector<std::vector<uint8_t>> engine_raw;
+    for (const auto &schedule : schedules) {
+        const std::string name = shuffled_test::scheduleName(schedule);
         graph::ExecStats sa, sb;
         auto a = runGraph(gen.graph, gen.scratchElems, gen.outElems,
-                          seed, pc.policy, &sa);
+                          seed, schedule, &sa);
         auto b = runGraph(optimized, gen.scratchElems, gen.outElems,
-                          seed, pc.policy, &sb);
-        if (!oracle_done) {
-            // Per-link value sets are policy-independent; one policy's
-            // observations are enough evidence per graph.
-            oracle_done = true;
+                          seed, schedule, &sb);
+        if (!schedule) {
+            // Per-link value sets are schedule-independent; the
+            // engine's observations are enough evidence per graph.
             std::string v = checkValueSoundness(gen.graph, sa, "raw");
             if (v.empty())
                 v = checkValueSoundness(optimized, sb, "optimized");
             if (!v.empty())
                 return "absint oracle: " + v;
-            first_raw = a;
+            engine_raw = a;
         } else {
-            // Cross-policy oracle: scheduling must never leak into DRAM
-            // results.
+            // Cross-schedule oracle: scheduling must never leak into
+            // DRAM results.
             for (size_t d = 0; d < a.size(); ++d) {
-                if (a[d] != first_raw[d]) {
+                if (a[d] != engine_raw[d]) {
                     return "DRAM region " + std::to_string(d) +
-                        " diverged between policies under " + pc.name;
+                        " diverged from the engine under " + name;
                 }
             }
         }
         for (size_t d = 0; d < a.size(); ++d) {
             if (a[d] != b[d]) {
                 return "DRAM region " + std::to_string(d) +
-                    " diverged under policy " + pc.name;
+                    " diverged under " + name;
             }
         }
-        if (sa.sramParkedEnd != 0 || sb.sramParkedEnd != 0) {
-            return std::string("park slots left occupied under ") +
-                pc.name;
-        }
+        if (sa.sramParkedEnd != 0 || sb.sramParkedEnd != 0)
+            return "park slots left occupied under " + name;
     }
     return "";
 }

@@ -5,7 +5,8 @@
  * Equivalence (WaveCert-style, against reference execution): every
  * graph pass — individually and as the full pipeline — must leave
  * DRAM output bit-identical to the unoptimized graph AND to the AST
- * interpreter, under both engine scheduling policies, on all eight
+ * interpreter, on the engine and under seeded shuffled schedules
+ * (tests/dataflow/shuffled_schedule.hh), on all eight
  * Table III app fixtures and the language fixtures covering every
  * lowering construct.
  *
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "../dataflow/shuffled_schedule.hh"
 #include "apps/apps.hh"
 #include "core/revet.hh"
 #include "graph/optimize.hh"
@@ -32,6 +34,9 @@
 using namespace revet;
 using namespace revet::graph;
 using lang::DramImage;
+using shuffled_test::allSchedules;
+using shuffled_test::runSchedule;
+using shuffled_test::scheduleName;
 
 namespace
 {
@@ -65,7 +70,8 @@ using Generate = std::function<std::vector<int32_t>(DramImage &)>;
 /**
  * Compile @p source unoptimized and with @p gopts, run both graphs and
  * the AST interpreter on identically generated images, and assert every
- * DRAM region is bit-identical under both scheduling policies.
+ * DRAM region is bit-identical on the engine and under every shuffled
+ * schedule.
  */
 void
 expectOptimizedEquivalent(const std::string &source,
@@ -86,14 +92,14 @@ expectOptimizedEquivalent(const std::string &source,
     auto args = generate(ref);
     ref_prog->interpret(ref, args);
 
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (std::optional<uint64_t> sched : allSchedules()) {
+        SCOPED_TRACE(scheduleName(sched));
         DramImage a(ref_prog->hir());
         generate(a);
-        auto sa = graph::execute(ref_prog->bytecode(), a, args, policy);
+        auto sa = runSchedule(ref_prog->bytecode(), a, args, sched);
         DramImage b(opt_prog->hir());
         generate(b);
-        auto sb = graph::execute(opt_prog->bytecode(), b, args, policy);
+        auto sb = runSchedule(opt_prog->bytecode(), b, args, sched);
         EXPECT_TRUE(sa.drained && sb.drained) << label;
         for (int d = 0; d < ref.dramCount(); ++d) {
             EXPECT_EQ(a.bytes(d), b.bytes(d))
@@ -433,6 +439,37 @@ TEST(GraphOptEquiv, LanguageFixtures)
                 std::string(f.label) + "/" + config);
         }
     }
+}
+
+TEST(GraphOptEquiv, ViewFillStaysOrderedBeforeReaders)
+{
+    // A ReadView's SRAM tile is filled by a foreach whose sync token
+    // gates the view's readers. Cross-block const prop used to reroute
+    // a pass-through lane around that sync block, so readers could run
+    // before the fill: every shuffled schedule read stale tiles, while
+    // the engine's own order happened to finish the fill first.
+    const std::string src = R"(
+DRAM<int> offsets; DRAM<int> out;
+void main(int count) {
+  foreach (count by 64) { int outer =>
+    ReadView<64> in_view(offsets, outer);
+    WriteView<64> out_view(out, outer);
+    foreach (64) { int idx =>
+      out_view[idx] = in_view[idx] * 3 + 1;
+    };
+  };
+})";
+    auto gen = [](DramImage &d) {
+        std::vector<int32_t> offsets(128);
+        for (int i = 0; i < 128; ++i)
+            offsets[i] = i * 7 + 2;
+        d.fill("offsets", offsets);
+        d.resize("out", 128 * 4);
+        return std::vector<int32_t>{128};
+    };
+    for (const char *config : {"cross-block-const-prop", "full"})
+        expectOptimizedEquivalent(src, gen, passConfig(config),
+                                  std::string("view-fill/") + config);
 }
 
 // ---------------------------------------------------------------------
@@ -1696,7 +1733,7 @@ TEST(GraphOptPipeline, OrdinalParkRoundTripExecutes)
     // rewrite is reported, the executor routes pass-over values
     // through the keyed SRAM detour (visible in the stats, including
     // the occupancy high-water mark), and the DRAM output stays
-    // bit-identical to the AST interpreter under both policies.
+    // bit-identical to the AST interpreter under every schedule.
     auto prog = CompiledArtifact::build(kReorderReplicateSrc);
     int buffered = 0;
     for (const auto &[pass, count] : prog->optReport().rewrites) {
@@ -1716,12 +1753,12 @@ TEST(GraphOptPipeline, OrdinalParkRoundTripExecutes)
     ref.fill("data", data);
     ref.resize("out", 80);
     prog->interpret(ref, {20});
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (std::optional<uint64_t> sched : allSchedules()) {
+        SCOPED_TRACE(scheduleName(sched));
         lang::DramImage dram(prog->hir());
         dram.fill("data", data);
         dram.resize("out", 80);
-        auto stats = graph::execute(prog->bytecode(), dram, {20}, policy);
+        auto stats = runSchedule(prog->bytecode(), dram, {20}, sched);
         EXPECT_EQ(ref.bytes(1), dram.bytes(1));
         EXPECT_GT(stats.sramParkedElems, 0u);
         EXPECT_GT(stats.sramParkedPeak, 0u);
