@@ -3,13 +3,15 @@
  * Bytecode execution cost per app, against the native kernels.
  *
  * Every Table III app is compiled once and run kRepeats times on one
- * reused ExecutionContext under the worklist policy (best-of-N wall
- * time). Per app it reports:
+ * reused ExecutionContext (best-of-N wall time). Per app it reports:
  *  - ns per scheduler quantum (dispatch cost);
  *  - ns per token pushed (all links, data and barriers);
  *  - the multiple of the app's 1-thread native C++ kernel in
  *    src/baselines/cpu.cc at the same scale, plus the geomean of that
- *    multiple over the apps.
+ *    multiple over the apps;
+ *  - the channel segments the context holds after its runs
+ *    (ExecStats::channelSegments, 256 bytes each), so channel memory
+ *    drift shows per change.
  *
  * Correctness gates (exit non-zero on violation):
  *  - DRAM passes the app's golden verify() on every run;
@@ -60,6 +62,7 @@ struct RunResult
     double ms = 0; ///< best-of-kRepeats wall time
     uint64_t quanta = 0;
     uint64_t tokens = 0;
+    uint64_t segments = 0; ///< channel segments held after the last run
     std::string error; ///< first correctness failure, if any
 };
 
@@ -79,6 +82,7 @@ runApp(const CompiledArtifact &art, const revet::apps::App &app)
         if (rep == 0 || ms < out.ms)
             out.ms = ms;
         out.quanta = stats.schedQuanta;
+        out.segments = stats.channelSegments;
         out.tokens = 0;
         for (uint64_t t : stats.linkTokens)
             out.tokens += t;
@@ -100,7 +104,7 @@ main()
     double log_x_sum = 0;
     int apps = 0;
 
-    std::printf("exec_dispatch: bytecode executor, worklist policy, "
+    std::printf("exec_dispatch: bytecode executor, "
                 "scale %d, best of %d, reused context\n",
                 kScale, kRepeats);
     for (const Pin &pin : kQuanta) {
@@ -121,18 +125,20 @@ main()
         ++apps;
 
         std::printf("  %-10s %8.2f ms  %6.1f ns/quantum  %5.1f ns/token  "
-                    "%7.0fx native (%llu quanta)\n",
+                    "%7.0fx native (%llu quanta, %llu segments)\n",
                     app.name.c_str(), r.ms, ns_per_quantum, ns_per_token,
-                    native_x, static_cast<unsigned long long>(r.quanta));
+                    native_x, static_cast<unsigned long long>(r.quanta),
+                    static_cast<unsigned long long>(r.segments));
         std::printf("{\"bench\":\"exec_dispatch\",\"fixture\":\"%s\","
                     "\"scale\":%d,\"ms\":%.3f,\"quanta\":%llu,"
                     "\"tokens\":%llu,\"ns_per_quantum\":%.1f,"
                     "\"ns_per_token\":%.2f,\"native_ms\":%.4f,"
-                    "\"native_x\":%.1f}\n",
+                    "\"native_x\":%.1f,\"channel_segments\":%llu}\n",
                     app.name.c_str(), kScale, r.ms,
                     static_cast<unsigned long long>(r.quanta),
                     static_cast<unsigned long long>(r.tokens),
-                    ns_per_quantum, ns_per_token, native_ms, native_x);
+                    ns_per_quantum, ns_per_token, native_ms, native_x,
+                    static_cast<unsigned long long>(r.segments));
 
         if (!r.error.empty()) {
             std::printf("  FAIL(%s): %s\n", app.name.c_str(),

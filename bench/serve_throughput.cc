@@ -25,9 +25,11 @@
  *  - request-level scaling: serveBatch at 4 workers is >= 2x faster
  *    than at 1 worker on search and huff-enc (scale 16). Each request
  *    runs single-threaded, so this is where the host's cores are used.
- *    One untimed warm-up batch runs first: the first ~1 s of
- *    multi-threaded load after idle can run 4 threads no faster than
- *    one. Then the gate times interleaved 1-worker/4-worker pairs and
+ *    Untimed 4-worker warm-up batches run first for at least
+ *    kScalingWarmupMs: the first ~1 s of multi-threaded load after
+ *    idle can run 4 threads no faster than one, and a fixed number of
+ *    batches covers less of that second the faster the executor gets.
+ *    Then the gate times interleaved 1-worker/4-worker pairs and
  *    takes the median per-pair ratio. Skipped with a note when the
  *    host has fewer than 4 hardware threads.
  *
@@ -59,6 +61,7 @@ constexpr double kMaxOverhead = 1.25;
 
 constexpr int kScalingRequests = 24;
 constexpr int kScalingPairs = 5;
+constexpr double kScalingWarmupMs = 1000;
 
 using Clock = std::chrono::steady_clock;
 
@@ -255,11 +258,14 @@ runScalingGate()
                 "interleaved pairs, host hardware threads: %u\n",
                 kScalingRequests, kWorkers, kScale, kScalingPairs, hw);
     bool ok = true;
+    double warmup_ms = 0;
     for (const char *name : {"search", "huff-enc"}) {
         const apps::App &app = apps::findApp(name);
         auto artifact = CompiledArtifact::build(app.source);
         bool served = true;
-        scalingBatchMs(app, artifact, kWorkers, served); // warm-up
+        // Once per run: the timed pairs keep the host loaded after it.
+        while (warmup_ms < kScalingWarmupMs)
+            warmup_ms += scalingBatchMs(app, artifact, kWorkers, served);
         std::vector<double> ratios;
         double one_ms = 0;
         double four_ms = 0;

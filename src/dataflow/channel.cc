@@ -9,51 +9,145 @@ namespace revet
 namespace dataflow
 {
 
-void
-Channel::push(const Token &tok)
+SegmentPool::~SegmentPool()
 {
-    if (fifo_.size() >= capacity_) {
+    while (free_) {
+        ChannelSegment *seg = free_;
+        free_ = seg->next;
+        delete seg;
+    }
+}
+
+ChannelSegment *
+SegmentPool::take()
+{
+    if (!free_) {
+        ++segments_;
+        return new ChannelSegment;
+    }
+    ChannelSegment *seg = free_;
+    free_ = seg->next;
+    seg->next = nullptr;
+    return seg;
+}
+
+void
+SegmentPool::give(ChannelSegment *seg)
+{
+    seg->next = free_;
+    free_ = seg;
+}
+
+Channel::Channel(std::string name, size_t capacity)
+    : push_limit_(capacity), capacity_(capacity),
+      pool_(nullptr), name_(std::move(name)),
+      own_pool_(std::make_unique<SegmentPool>())
+{
+    pool_ = own_pool_.get();
+}
+
+Channel::~Channel()
+{
+    while (head_seg_) {
+        ChannelSegment *seg = head_seg_;
+        head_seg_ = seg->next;
+        pool_->give(seg);
+    }
+}
+
+void
+Channel::resetForReuse()
+{
+    if (head_seg_) {
+        while (head_seg_->next) {
+            ChannelSegment *seg = head_seg_->next;
+            head_seg_->next = seg->next;
+            pool_->give(seg);
+        }
+        tail_seg_ = head_seg_;
+        head_ = tail_ = head_seg_->tokens;
+        head_end_ = tail_end_ = head_ + ChannelSegment::kTokens;
+    }
+    size_ = 0;
+    total_pushed_ = 0;
+    barriers_pushed_ = 0;
+    watch_ = ValueWatch{};
+}
+
+void
+Channel::pushChecked(const Token &tok)
+{
+    if (size_ >= capacity_) {
         throw std::runtime_error(
             "channel '" + (name_.empty() ? std::string("?") : name_) +
             "' overflow: push on a full bounded channel (capacity " +
             std::to_string(capacity_) + ") — missing canPush() guard");
     }
-    const bool was_empty = fifo_.empty();
-    fifo_.push_back(tok);
-    ++total_pushed_;
-    if (tok.isBarrier()) {
-        ++watch_.barriersPushed;
-    } else {
-        const Word w = tok.word();
-        const int32_t s = tok.asInt();
-        if (watch_.dataPushed == 0)
-            watch_.first = w;
-        else
-            watch_.allEqual &= w == watch_.first;
-        watch_.smin = s < watch_.smin ? s : watch_.smin;
-        watch_.smax = s > watch_.smax ? s : watch_.smax;
-        watch_.umin = w < watch_.umin ? w : watch_.umin;
-        watch_.umax = w > watch_.umax ? w : watch_.umax;
-        ++watch_.dataPushed;
+    if (watching_) {
+        if (tok.isBarrier()) {
+            ++watch_.barriersPushed;
+        } else {
+            const Word w = tok.word();
+            const int32_t s = tok.asInt();
+            if (watch_.dataPushed == 0)
+                watch_.first = w;
+            else
+                watch_.allEqual &= w == watch_.first;
+            watch_.smin = s < watch_.smin ? s : watch_.smin;
+            watch_.smax = s > watch_.smax ? s : watch_.smax;
+            watch_.umin = w < watch_.umin ? w : watch_.umin;
+            watch_.umax = w > watch_.umax ? w : watch_.umax;
+            ++watch_.dataPushed;
+        }
     }
-    if (engine_ && was_empty)
-        engine_->onTokenAvailable(this);
+    append(tok);
 }
 
-Token
-Channel::pop()
+void
+Channel::throwUnderflow() const
 {
-    if (fifo_.empty()) {
-        throw std::runtime_error(
-            "channel '" + (name_.empty() ? std::string("?") : name_) +
-            "' underflow: pop on an empty channel");
+    throw std::runtime_error(
+        "channel '" + (name_.empty() ? std::string("?") : name_) +
+        "' underflow: pop on an empty channel");
+}
+
+void
+Channel::growTail()
+{
+    ChannelSegment *seg = pool_->take();
+    if (tail_seg_) {
+        tail_seg_->next = seg;
+    } else {
+        head_seg_ = seg;
+        head_ = seg->tokens;
+        head_end_ = head_ + ChannelSegment::kTokens;
     }
-    const bool was_full = fifo_.size() == capacity_;
-    Token tok = fifo_.front();
-    fifo_.pop_front();
-    if (engine_ && was_full)
-        engine_->onSpaceAvailable(this);
-    return tok;
+    tail_seg_ = seg;
+    tail_ = seg->tokens;
+    tail_end_ = tail_ + ChannelSegment::kTokens;
+}
+
+void
+Channel::dropHeadSegment()
+{
+    // Only called with tokens left, so a later segment holds them.
+    ChannelSegment *seg = head_seg_;
+    head_seg_ = seg->next;
+    pool_->give(seg);
+    head_ = head_seg_->tokens;
+    head_end_ = head_ + ChannelSegment::kTokens;
+}
+
+void
+Channel::notifyTokenAvailable()
+{
+    engine_->onTokenAvailable(this);
+}
+
+void
+Channel::notifySpaceAvailable()
+{
+    engine_->onSpaceAvailable(this);
 }
 
 bool

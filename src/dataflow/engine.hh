@@ -191,12 +191,13 @@ class Engine
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
-    /** Create a channel owned by this engine. */
+    /** Create a channel owned by this engine, drawing its segments
+     * from the engine's pool. */
     Channel *
     channel(std::string name = "", size_t capacity = Channel::unbounded)
     {
         channels_.push_back(
-            std::make_unique<Channel>(std::move(name), capacity));
+            std::make_unique<Channel>(std::move(name), capacity, pool_));
         channels_.back()->bindEngine(this);
         return channels_.back().get();
     }
@@ -252,6 +253,9 @@ class Engine
         return channels_;
     }
 
+    /** The segment pool every channel of this engine shares. */
+    const SegmentPool &segmentPool() const { return pool_; }
+
     /** Channel notification: @p ch went empty -> non-empty. */
     void
     onTokenAvailable(Channel *ch)
@@ -279,6 +283,9 @@ class Engine
     /** Work quanta a process may run per scheduling decision. */
     static constexpr int kBurst = 4096;
 
+    // Declared before the channels, which hand their segments back to
+    // it when they are destroyed.
+    SegmentPool pool_;
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<Process>> procs_;
 

@@ -213,8 +213,9 @@ evalMemOp(const BlockOp &op, const std::vector<Word> &regs,
 /**
  * Post-run bookkeeping: copy the engine's scheduler counters into
  * @p stats, throw the stall report if the network failed to drain, and
- * harvest per-link traffic/value watches (the engine's first
- * @p num_links channels are the graph links, in link-id order).
+ * harvest per-link traffic (the engine's first @p num_links channels
+ * are the graph links, in link-id order) and the segment high-water
+ * mark.
  */
 void
 collectRunStats(dataflow::Engine &engine, size_t num_links,
@@ -234,13 +235,12 @@ collectRunStats(dataflow::Engine &engine, size_t num_links,
     }
     stats.linkTokens.resize(num_links, 0);
     stats.linkBarriers.resize(num_links, 0);
-    stats.linkValues.resize(num_links);
     const auto &channels = engine.channels();
     for (size_t i = 0; i < num_links; ++i) {
         stats.linkTokens[i] = channels[i]->totalPushed();
-        stats.linkBarriers[i] = channels[i]->watch().barriersPushed;
-        stats.linkValues[i] = channels[i]->watch();
+        stats.linkBarriers[i] = channels[i]->barriersPushed();
     }
+    stats.channelSegments = engine.segmentPool().segments();
 }
 
 /**

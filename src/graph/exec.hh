@@ -4,10 +4,10 @@
  *
  * ExecStats is the result of graph::execute and
  * graph::ExecutionContext::run (graph/bytecode.hh): scheduler counters,
- * memory traffic, park-slot occupancy and per-link traffic. Tests hold
- * a run's DRAM output bit-identical to the AST interpreter's; the
- * per-link token counts feed the link-bandwidth analysis and the cycle
- * model.
+ * memory traffic, park-slot occupancy, per-link traffic and channel
+ * memory. Tests hold a run's DRAM output bit-identical to the AST
+ * interpreter's; the per-link token counts feed the link-bandwidth
+ * analysis and the cycle model.
  */
 
 #ifndef REVET_GRAPH_EXEC_HH
@@ -15,8 +15,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "dataflow/engine.hh"
 
 namespace revet
 {
@@ -75,15 +73,17 @@ struct ExecStats
     /** Tokens that crossed each link (indexed by link id; data and
      * barriers both count — this is link traffic volume). */
     std::vector<uint64_t> linkTokens;
-    /** Barrier tokens per link. */
+    /** Barrier tokens per link. Per-link value watermarks
+     * (dataflow::Channel::ValueWatch) are not reported here: a run
+     * leaves them off, and only the test harness that checks them
+     * against the abstract interpreter turns them on
+     * (tests/dataflow/shuffled_schedule.hh). */
     std::vector<uint64_t> linkBarriers;
-
-    /** Observed data-word summary per link: concrete evidence for the
-     * abstract interpreter's claims (see dataflow::Channel). A link
-     * the analysis proves bottom must show dataPushed == 0; observed
-     * extremes must lie within the inferred intervals; a proven
-     * constant must observe allEqual with the predicted word. */
-    std::vector<dataflow::Channel::ValueWatch> linkValues;
+    /** Channel segments (dataflow::SegmentPool) the context's engine
+     * holds after the run: the high-water mark of the segments its
+     * channels had in use at once, over every run the context served.
+     * Each segment is 256 bytes. */
+    uint64_t channelSegments = 0;
 };
 
 } // namespace graph

@@ -18,6 +18,13 @@
  * not schedule-independent (a different order can buffer fewer
  * threads at once), so only the engine's run pins it.
  *
+ * runShuffled() is also the one place the per-link value watches
+ * (dataflow::Channel::ValueWatch) are turned on: it hands them back to
+ * the absint soundness oracle, and it checks on every run that each
+ * link's watch saw every push (dataPushed + barriersPushed equals the
+ * link's token count), so the oracle cannot go vacuous by observing
+ * nothing.
+ *
  * scheduleSeeds() is the seed list every such sweep uses: 8 fixed
  * seeds, or 64 starting at REVET_FUZZ_SEED when a fuzz sweep sets it
  * (scripts/check.sh --sanitize and --tsan do). allSchedules() puts the
@@ -35,6 +42,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataflow/engine.hh"
@@ -87,16 +95,22 @@ runSweeps(std::vector<dataflow::Process *> procs, uint64_t seed)
     }
 }
 
+/** Per-link value watches of one run, indexed by link id. */
+using Watches = std::vector<dataflow::Channel::ValueWatch>;
+
 /**
  * Execute @p prog against @p dram with main's @p args under the
- * shuffled schedule @p seed. Fills what a schedule cannot change:
- * drained, linkTokens/linkBarriers/linkValues, schedQuanta, the park
- * counters and the memory counters; the engine's scheduler counters
- * stay 0.
+ * shuffled schedule @p seed, with every link's value watch on. Fills
+ * what a schedule cannot change: drained, linkTokens/linkBarriers,
+ * schedQuanta, the park counters and the memory counters; the
+ * engine's scheduler counters stay 0. Copies the watches to
+ * @p watches when given.
+ * @throws std::runtime_error if a link's watch missed a push.
  */
 inline graph::ExecStats
 runShuffled(const graph::BytecodeProgram &prog, lang::DramImage &dram,
-            const std::vector<int32_t> &args, uint64_t seed)
+            const std::vector<int32_t> &args, uint64_t seed,
+            Watches *watches = nullptr)
 {
     if (args.size() < prog.numArgs)
         throw std::runtime_error("dataflow program expects more arguments");
@@ -108,15 +122,27 @@ runShuffled(const graph::BytecodeProgram &prog, lang::DramImage &dram,
     mem.beginRun();
     // Declared after the memory its processes reference.
     dataflow::Engine engine;
-    stats.schedQuanta =
-        runSweeps(graph::instantiateAll(engine, prog, mem), seed);
+    auto procs = graph::instantiateAll(engine, prog, mem);
+    const auto &channels = engine.channels();
+    for (const auto &ch : channels)
+        ch->watchValues(true);
+    stats.schedQuanta = runSweeps(std::move(procs), seed);
     stats.drained = engine.drained();
     stats.sramParkedEnd = mem.parkedNow;
-    const auto &channels = engine.channels();
     for (size_t i = 0; i < prog.numLinks; ++i) {
-        stats.linkTokens.push_back(channels[i]->totalPushed());
-        stats.linkBarriers.push_back(channels[i]->watch().barriersPushed);
-        stats.linkValues.push_back(channels[i]->watch());
+        const dataflow::Channel &ch = *channels[i];
+        const auto &w = ch.watch();
+        if (w.dataPushed + w.barriersPushed != ch.totalPushed()) {
+            throw std::runtime_error(
+                "shuffled schedule: value watch on link " +
+                std::to_string(i) + " (" + ch.name() + ") saw " +
+                std::to_string(w.dataPushed + w.barriersPushed) + " of " +
+                std::to_string(ch.totalPushed()) + " pushes");
+        }
+        stats.linkTokens.push_back(ch.totalPushed());
+        stats.linkBarriers.push_back(ch.barriersPushed());
+        if (watches)
+            watches->push_back(w);
     }
     return stats;
 }

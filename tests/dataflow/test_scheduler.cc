@@ -478,12 +478,27 @@ TEST(EngineFaults, PrimitiveExceptionReachesCallerAndEngineRecovers)
 // ---------------------------------------------------------------------
 // Bounded-channel backpressure.
 
+/** The message @p fn throws as std::runtime_error, or "" if none. */
+template <typename Fn>
+std::string
+thrownMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::runtime_error &err) {
+        return err.what();
+    }
+    return "";
+}
+
 TEST(Backpressure, PushOnFullChannelThrows)
 {
     Channel ch("tight", 1);
     ch.push(Token::data(1));
     EXPECT_FALSE(ch.canPush());
-    EXPECT_THROW(ch.push(Token::data(2)), std::runtime_error);
+    EXPECT_EQ(thrownMessage([&] { ch.push(Token::data(2)); }),
+              "channel 'tight' overflow: push on a full bounded channel "
+              "(capacity 1) — missing canPush() guard");
     // The failed push must not corrupt the FIFO.
     EXPECT_EQ(ch.size(), 1u);
     EXPECT_EQ(ch.pop().word(), 1u);
@@ -492,14 +507,20 @@ TEST(Backpressure, PushOnFullChannelThrows)
 TEST(Backpressure, PopOnEmptyChannelThrows)
 {
     Channel ch("empty");
-    EXPECT_THROW(ch.pop(), std::runtime_error);
+    EXPECT_EQ(thrownMessage([&] { ch.pop(); }),
+              "channel 'empty' underflow: pop on an empty channel");
+    Channel nameless;
+    EXPECT_EQ(thrownMessage([&] { nameless.pop(); }),
+              "channel '?' underflow: pop on an empty channel");
 }
 
 TEST(Backpressure, CapacityZeroChannelRejectsEveryPush)
 {
     Channel ch("closed", 0);
     EXPECT_FALSE(ch.canPush());
-    EXPECT_THROW(ch.push(Token::data(1)), std::runtime_error);
+    EXPECT_EQ(thrownMessage([&] { ch.push(Token::data(1)); }),
+              "channel 'closed' overflow: push on a full bounded channel "
+              "(capacity 0) — missing canPush() guard");
     EXPECT_TRUE(ch.empty());
 }
 

@@ -884,10 +884,13 @@ passConfig(const std::string &which)
     return o;
 }
 
+/** Run @p g on the engine when @p schedule is empty, else under the
+ * shuffled schedule @p *schedule, which also hands back the per-link
+ * value watches through @p watchesOut. */
 std::vector<std::vector<uint8_t>>
 runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
-         std::optional<uint64_t> schedule,
-         graph::ExecStats *statsOut = nullptr)
+         std::optional<uint64_t> schedule, graph::ExecStats *statsOut,
+         shuffled_test::Watches *watchesOut = nullptr)
 {
     DramImage dram(dramProgram());
     std::vector<int32_t> input(kInElems);
@@ -897,11 +900,12 @@ runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
     dram.fill("in", input);
     dram.resize("scratch", static_cast<size_t>(scratchElems) * 4);
     dram.resize("out", static_cast<size_t>(outElems) * 4);
-    auto stats = shuffled_test::runSchedule(
-        graph::BytecodeProgram::compile(g), dram, {}, schedule);
+    const auto prog = graph::BytecodeProgram::compile(g);
+    auto stats = schedule ? shuffled_test::runShuffled(prog, dram, {},
+                                                       *schedule, watchesOut)
+                          : graph::execute(prog, dram, {});
     EXPECT_TRUE(stats.drained);
-    if (statsOut)
-        *statsOut = stats;
+    *statsOut = stats;
     std::vector<std::vector<uint8_t>> out;
     for (int d = 0; d < dram.dramCount(); ++d)
         out.push_back(dram.bytes(d));
@@ -915,12 +919,12 @@ runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
  * that happens to miscompile something downstream.
  */
 std::string
-checkValueSoundness(const Dfg &g, const graph::ExecStats &stats,
+checkValueSoundness(const Dfg &g, const shuffled_test::Watches &watches,
                     const std::string &which)
 {
     const graph::AbsintReport rep = graph::analyzeValues(g);
     for (size_t l = 0; l < g.links.size(); ++l) {
-        const auto &w = stats.linkValues[l];
+        const auto &w = watches[l];
         if (w.dataPushed == 0)
             continue; // nothing observed: any claim is vacuous
         const graph::AbsVal &v = rep.links[l];
@@ -975,20 +979,21 @@ diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
     for (const auto &schedule : schedules) {
         const std::string name = shuffled_test::scheduleName(schedule);
         graph::ExecStats sa, sb;
+        shuffled_test::Watches wa, wb;
         auto a = runGraph(gen.graph, gen.scratchElems, gen.outElems,
-                          seed, schedule, &sa);
+                          seed, schedule, &sa, &wa);
         auto b = runGraph(optimized, gen.scratchElems, gen.outElems,
-                          seed, schedule, &sb);
+                          seed, schedule, &sb, &wb);
         if (!schedule) {
-            // Per-link value sets are schedule-independent; the
-            // engine's observations are enough evidence per graph.
-            std::string v = checkValueSoundness(gen.graph, sa, "raw");
-            if (v.empty())
-                v = checkValueSoundness(optimized, sb, "optimized");
-            if (!v.empty())
-                return "absint oracle: " + v;
             engine_raw = a;
         } else {
+            // Per-link value sets are schedule-independent; the
+            // shuffled run's watches are enough evidence per graph.
+            std::string v = checkValueSoundness(gen.graph, wa, "raw");
+            if (v.empty())
+                v = checkValueSoundness(optimized, wb, "optimized");
+            if (!v.empty())
+                return "absint oracle: " + v;
             // Cross-schedule oracle: scheduling must never leak into
             // DRAM results.
             for (size_t d = 0; d < a.size(); ++d) {
@@ -1051,8 +1056,8 @@ TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, FuzzOptimize,
-    ::testing::Values("const-fold", "copy-prop", "fanout-coalesce",
-                      "block-fusion", "dead-node-elim",
+    ::testing::Values("const-fold", "cross-block-const-prop", "copy-prop",
+                      "fanout-coalesce", "block-fusion", "dead-node-elim",
                       "replicate-bufferize", "subword-pack", "full"),
     [](const auto &info) {
         std::string name = info.param;
