@@ -17,7 +17,7 @@ main()
 {
     const auto &kd = revet::apps::findApp("kD-tree");
     auto revet_run = revet::apps::runApp(kd, 64);
-    auto aurochs_run = revet::apps::runApp(kd, 64, {}, {}, {},
+    auto aurochs_run = revet::apps::runApp(kd, 64, {}, {},
                                            /*aurochs_mode=*/true);
     std::printf("=== Section VI-B(c): kD-tree, Revet vs Aurochs ===\n");
     std::printf("Revet   : %8.1f GB/s (%s)\n", revet_run.perf.gbPerSec,

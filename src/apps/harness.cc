@@ -7,19 +7,15 @@ namespace apps
 
 AppRun
 runApp(const App &app, int scale, const CompileOptions &copts,
-       const graph::ResourceOptions &ropts,
-       const sim::MachineConfig &machine, bool aurochs_mode)
+       const graph::ResourceOptions &ropts, bool aurochs_mode)
 {
     AppRun out;
-    // The optimizer's block-fusion budget and the resource/perf
-    // analysis must describe the same machine.
-    CompileOptions co = copts;
-    co.graphOpt.machine = machine;
+    const sim::MachineConfig &machine = copts.graphOpt.machine;
     // Through the artifact cache: the suites run the same app at many
     // scales and under repeated fixtures, and only (source, options)
     // changes the artifact — re-lowering per run was pure waste (the
     // compile-count test in tests/core/test_serve.cc pins this).
-    auto art = ArtifactCache::global().get(app.source, co);
+    auto art = ArtifactCache::global().get(app.source, copts);
 
     lang::DramImage dram(art->hir());
     auto args = app.generate(dram, scale);

@@ -32,11 +32,15 @@ struct AppRun
     std::string verifyError;
 };
 
-/** Compile + run + verify + map + model @p app at @p scale. */
+/**
+ * Compile + run + verify + map + model @p app at @p scale. The one
+ * machine config, copts.graphOpt.machine, bounds the optimizer's
+ * block fusion and describes the machine the resource and performance
+ * models map onto.
+ */
 AppRun runApp(const App &app, int scale,
               const CompileOptions &copts = {},
               const graph::ResourceOptions &ropts = {},
-              const sim::MachineConfig &machine = {},
               bool aurochs_mode = false);
 
 } // namespace apps

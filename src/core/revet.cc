@@ -37,21 +37,12 @@ canonicalOptions(const CompileOptions &opts)
 {
     std::ostringstream oss;
     oss << "passes{";
-    put(oss, "eliminateHierarchy", opts.passes.eliminateHierarchy);
     put(oss, "ifToSelect", opts.passes.ifToSelect);
     oss << "}graphOpt{";
     put(oss, "enable", opts.graphOpt.enable);
-    put(oss, "constFold", opts.graphOpt.constFold);
-    put(oss, "crossBlockConstProp", opts.graphOpt.crossBlockConstProp);
-    put(oss, "copyProp", opts.graphOpt.copyProp);
-    put(oss, "fanoutCoalesce", opts.graphOpt.fanoutCoalesce);
-    put(oss, "blockFusion", opts.graphOpt.blockFusion);
-    put(oss, "deadNodeElim", opts.graphOpt.deadNodeElim);
     put(oss, "replicateBufferize", opts.graphOpt.replicateBufferize);
     put(oss, "subwordPack", opts.graphOpt.subwordPack);
-    put(oss, "verifyBetweenPasses", opts.graphOpt.verifyBetweenPasses);
     put(oss, "validate", opts.graphOpt.validate);
-    put(oss, "maxIterations", opts.graphOpt.maxIterations);
     const sim::MachineConfig &m = opts.graphOpt.machine;
     oss << "machine{";
     put(oss, "numCU", m.numCU);
@@ -109,7 +100,6 @@ CompiledArtifact::build(const std::string &source,
     out->source_ = source;
     out->cache_key_ = canonicalOptions(opts);
     out->fingerprint_ = artifactFingerprint(source, opts);
-    out->opts_ = opts;
     out->ref_ = lang::parseAndAnalyze(source);
     out->hir_ = lang::parseAndAnalyze(source);
     passes::runPipeline(out->hir_, opts.passes);

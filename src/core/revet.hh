@@ -132,9 +132,6 @@ class CompiledArtifact
     /** The post-pipeline HIR (for DramImage construction and debug). */
     const lang::Program &hir() const { return hir_; }
 
-    /** The pre-pipeline HIR (reference-interpreter semantics). */
-    const lang::Program &referenceHir() const { return ref_; }
-
     /** The lowered (and, unless disabled, optimized) dataflow graph,
      * with link widths annotated by the resource analysis. */
     const graph::Dfg &dfg() const { return dfg_; }
@@ -153,8 +150,6 @@ class CompiledArtifact
     /** Static analysis bundle: rate balance, deadlock lint, value
      * lints. */
     const graph::AnalyzeReport &analysis() const { return analysis_; }
-
-    const CompileOptions &options() const { return opts_; }
 
     /**
      * Instantiate the mutable half: a fresh reusable execution context
@@ -175,14 +170,13 @@ class CompiledArtifact
     std::string source_;
     std::string cache_key_;
     uint64_t fingerprint_ = 0;
-    lang::Program ref_;
+    lang::Program ref_; ///< pre-pipeline HIR, for interpret()
     lang::Program hir_;
     graph::Dfg dfg_;
     graph::BytecodeProgram bytecode_;
     graph::GraphOptReport opt_report_;
     graph::ResourceReport resources_;
     graph::AnalyzeReport analysis_;
-    CompileOptions opts_;
 };
 
 /**

@@ -38,14 +38,6 @@ SegmentPool::give(ChannelSegment *seg)
     free_ = seg;
 }
 
-Channel::Channel(std::string name, size_t capacity)
-    : push_limit_(capacity), capacity_(capacity),
-      pool_(nullptr), name_(std::move(name)),
-      own_pool_(std::make_unique<SegmentPool>())
-{
-    pool_ = own_pool_.get();
-}
-
 Channel::~Channel()
 {
     while (head_seg_) {

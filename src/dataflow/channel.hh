@@ -24,10 +24,10 @@
  * moves within the tail and head segments; only crossing a segment
  * boundary, the overflow/underflow throws and the engine notifications
  * leave the header. Segments come from a SegmentPool, a LIFO free list
- * that an Engine shares among all its channels (a channel constructed
- * on its own owns a private pool). The head hands a segment back as
- * soon as it leaves it, and a channel that drains rewinds onto the one
- * segment it still holds, so an engine's segment count is the
+ * that an Engine shares among all its channels (a channel built outside
+ * an engine names the pool it borrows from). The head hands a segment
+ * back as soon as it leaves it, and a channel that drains rewinds onto
+ * the one segment it still holds, so an engine's segment count is the
  * high-water mark of the segments in use at once across all its
  * channels, not the sum of every channel's own peak.
  *
@@ -49,7 +49,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -118,9 +117,6 @@ class Channel
   public:
     static constexpr size_t unbounded =
         std::numeric_limits<size_t>::max();
-
-    /** A standalone channel with its own private segment pool. */
-    explicit Channel(std::string name = "", size_t capacity = unbounded);
 
     /** A channel drawing its segments from @p pool, which must outlive
      * it (Engine::channel). */
@@ -277,8 +273,6 @@ class Channel
     bool watching_ = false;
     ValueWatch watch_;
     std::string name_;
-    /** pool_'s owner, for a standalone channel only. */
-    std::unique_ptr<SegmentPool> own_pool_;
 };
 
 /** A group of channels carrying one thread's live values in lockstep. */

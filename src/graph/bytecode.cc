@@ -1096,12 +1096,6 @@ ExecutionContext::ExecutionContext(const BytecodeProgram &prog)
 
 ExecutionContext::~ExecutionContext() = default;
 
-const BytecodeProgram &
-ExecutionContext::program() const
-{
-    return impl_->prog;
-}
-
 uint64_t
 ExecutionContext::runsServed() const
 {

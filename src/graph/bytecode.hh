@@ -197,8 +197,6 @@ class ExecutionContext
                   uint64_t max_rounds =
                       dataflow::Engine::defaultMaxRounds);
 
-    const BytecodeProgram &program() const;
-
     /** Requests served to completion (successful run() calls). */
     uint64_t runsServed() const;
 

@@ -32,6 +32,11 @@ GraphOptReport::summary() const
 namespace
 {
 
+/** Fixpoint sweep cap for runPasses(). The Table III apps and the
+ * bench_graph_opt fixtures settle in at most 4 sweeps, the last of
+ * them rewriting nothing. */
+constexpr int kMaxIterations = 8;
+
 bool
 isEffectOp(OpKind kind)
 {
@@ -2314,21 +2319,15 @@ std::vector<std::unique_ptr<GraphPass>>
 makeDefaultPasses(const GraphPassOptions &opts)
 {
     std::vector<std::unique_ptr<GraphPass>> out;
-    if (opts.constFold)
-        out.push_back(makeConstFoldPass());
+    out.push_back(makeConstFoldPass());
     // Cross-block propagation right after in-block folding: folded
     // cnst outputs become whole-graph facts, and the cnst wiring it
     // injects is folded/fused by the passes behind it next iteration.
-    if (opts.crossBlockConstProp)
-        out.push_back(makeCrossBlockConstPropPass());
-    if (opts.copyProp)
-        out.push_back(makeCopyPropPass());
-    if (opts.fanoutCoalesce)
-        out.push_back(makeFanoutCoalescePass());
-    if (opts.blockFusion)
-        out.push_back(makeBlockFusionPass());
-    if (opts.deadNodeElim)
-        out.push_back(makeDeadNodeElimPass());
+    out.push_back(makeCrossBlockConstPropPass());
+    out.push_back(makeCopyPropPass());
+    out.push_back(makeFanoutCoalescePass());
+    out.push_back(makeBlockFusionPass());
+    out.push_back(makeDeadNodeElimPass());
     // The structural rewrites run after cleanup so parks and packed
     // lanes are decided on the settled graph, not on wiring blocks and
     // dead cones the earlier passes are about to erase.
@@ -2356,8 +2355,7 @@ runPasses(Dfg &dfg, const std::vector<std::unique_ptr<GraphPass>> &passes,
     TokenAccount account;
     if (opts.validate)
         account = accountTokens(dfg);
-    const int max_iters = std::max(1, opts.maxIterations);
-    for (int iter = 0; iter < max_iters; ++iter) {
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
         int any = 0;
         for (size_t pi = 0; pi < passes.size(); ++pi) {
             GraphPass &pass = *passes[pi];
@@ -2369,8 +2367,7 @@ runPasses(Dfg &dfg, const std::vector<std::unique_ptr<GraphPass>> &passes,
             if (!applied)
                 continue;
             facts.rewritten();
-            if (opts.verifyBetweenPasses)
-                dfg.verify();
+            dfg.verify();
             if (opts.validate) {
                 TokenAccount now;
                 auto diags = validateRewrite(pass.name(), account, dfg,

@@ -10,28 +10,29 @@
  * unoptimized graph and the AST interpreter (WaveCert-style validation
  * by reference execution).
  *
- * The initial suite:
- *  - constFold: in-block constant folding, algebraic identities,
+ * The fixed pipeline, in order (GraphPass::name() in front):
+ *  - const-fold: in-block constant folding, algebraic identities,
  *    copy/alias forwarding, and dead-op elimination;
- *  - crossBlockConstProp: graph-level constant/copy propagation on
+ *  - cross-block-const-prop: graph-level constant/copy propagation on
  *    the abstract-interpretation facts of graph/absint.hh — constants
  *    cross block boundaries as local cnst ops, always-keep filters
  *    and single-live-arm merges are spliced away, pass-through output
  *    lanes are rerouted onto the producing fanout, and provably
- *    unreachable memory effects are stripped so dead-node elimination
- *    can collapse the statically-dead arm;
- *  - copyProp: eliminate single-input mov-only (wiring) blocks — a
+ *    unreachable memory effects are stripped (under the dropEffects
+ *    validation permission) so dead-node elimination can collapse
+ *    the statically-dead arm;
+ *  - copy-prop: eliminate single-input mov-only (wiring) blocks — a
  *    pure splice or a fanout, never touching multi-input alignment
  *    blocks (those order memory effects, e.g. the foreach sync block);
- *  - fanoutCoalesce: fold fanout-of-fanout chains and splice
+ *  - fanout-coalesce: fold fanout-of-fanout chains and splice
  *    degenerate 1-way fanouts into direct links;
- *  - blockFusion: merge a block whose every output feeds one other
+ *  - block-fusion: merge a block whose every output feeds one other
  *    block, subject to the Table II stage/buffer limits via the
  *    resource model's cost hooks (graph/resources.hh);
- *  - deadNodeElim: prune nodes whose outputs all dangle into sinks
+ *  - dead-node-elim: prune nodes whose outputs all dangle into sinks
  *    (transitively) and have no memory effects, shrinking fanouts and
  *    filter/merge bundles along the way;
- *  - replicateBufferize (Section V-C(d)): park pass-over values of a
+ *  - replicate-bufferize (Section V-C(d)): park pass-over values of a
  *    replicate region in SRAM so the region's distribution and
  *    collection trees do not have to carry them. Order-preserving
  *    regions get positional FIFO park/restore detours on their
@@ -47,13 +48,13 @@
  *    machinery), and bails on regions whose park count exceeds the
  *    Table II MU bank budget, then re-derives
  *    ReplicateInfo::bufferized from the rewritten graph;
- *  - subwordPack (Section V-B(d)): share 32-bit lanes between narrow
+ *  - subword-pack (Section V-B(d)): share 32-bit lanes between narrow
  *    (i8/i16/bool) streams entering the same fwdMerge/fbMerge, with
  *    mask/shift pack blocks on both input bundles and an unpack block
  *    on the merged output.
  *
  * Further graph rewrites plug in by implementing GraphPass and
- * appending to the pipeline.
+ * appending to makeDefaultPasses().
  */
 
 #ifndef REVET_GRAPH_OPTIMIZE_HH
@@ -72,37 +73,24 @@ namespace revet
 namespace graph
 {
 
-/** Optimizer configuration, owned by core::CompileOptions. */
+/**
+ * Optimizer configuration, owned by core::CompileOptions. The pipeline
+ * itself is fixed (makeDefaultPasses); only the two passes the Fig. 12
+ * ablation measures can be switched off.
+ */
 struct GraphPassOptions
 {
     bool enable = true; ///< master switch (off: lowered graph untouched)
-    bool constFold = true;
-    /** Cross-block constant/copy propagation driven by the abstract
-     * interpreter (graph/absint.hh): replaces proven-constant input
-     * links with local cnst wiring, splices always-keep filters and
-     * merges with a provably-dead arm, reroutes pass-through output
-     * lanes onto the producing fanout, and strips memory effects from
-     * blocks that provably never receive data (needs the dropEffects
-     * validation permission). */
-    bool crossBlockConstProp = true;
-    bool copyProp = true;
-    bool fanoutCoalesce = true;
-    bool blockFusion = true;
-    bool deadNodeElim = true;
     bool replicateBufferize = true;
     bool subwordPack = true;
-    /** Run Dfg::verify() after every pass application. */
-    bool verifyBetweenPasses = true;
     /** WaveCert-style translation validation (graph/analyze.hh): after
      * every applied pass, account token production/consumption against
      * the pre-pass snapshot and reject the rewrite with a
      * ValidationError if conservation, park pairing, bundle widths, or
      * rate balance broke. */
     bool validate = true;
-    /** Fixpoint iteration cap for the whole pipeline. */
-    int maxIterations = 8;
-    /** Table II limits consulted by blockFusion's cost hooks and by
-     * replicateBufferize's per-region SRAM park budget (muBanks). */
+    /** Table II limits consulted by block-fusion's cost hooks and by
+     * replicate-bufferize's per-region SRAM park budget (muBanks). */
     sim::MachineConfig machine;
 };
 
@@ -145,7 +133,8 @@ struct GraphOptReport
     std::string summary() const;
 };
 
-/** Individual pass factories (used by the per-pass test matrix). */
+/** Individual pass factories: tests build one-pass and leave-one-out
+ * pipelines from these and hand them to runPasses(). */
 std::unique_ptr<GraphPass> makeConstFoldPass();
 std::unique_ptr<GraphPass> makeCrossBlockConstPropPass();
 std::unique_ptr<GraphPass> makeCopyPropPass();
@@ -155,13 +144,15 @@ std::unique_ptr<GraphPass> makeDeadNodeElimPass();
 std::unique_ptr<GraphPass> makeReplicateBufferizePass();
 std::unique_ptr<GraphPass> makeSubwordPackPass();
 
-/** The default pipeline honoring the per-pass toggles in @p opts. */
+/** The fixed pipeline listed above, without replicate-bufferize or
+ * subword-pack when @p opts switches them off. */
 std::vector<std::unique_ptr<GraphPass>>
 makeDefaultPasses(const GraphPassOptions &opts);
 
 /**
- * Run @p passes over @p dfg to fixpoint (bounded by
- * opts.maxIterations), verifying between passes per the options.
+ * Run @p passes over @p dfg to fixpoint (at most 8 sweeps).
+ * Dfg::verify() runs after every applied pass, then translation
+ * validation when opts.validate is set.
  */
 GraphOptReport
 runPasses(Dfg &dfg,

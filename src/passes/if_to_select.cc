@@ -172,8 +172,7 @@ void
 runPipeline(Program &program, const PassOptions &opts)
 {
     lowerAdapters(program);
-    if (opts.eliminateHierarchy)
-        eliminateHierarchy(program);
+    eliminateHierarchy(program);
     if (opts.ifToSelect)
         ifToSelect(program);
 }

@@ -40,13 +40,14 @@ namespace passes
 
 /** HIR pass toggles, mirroring the ablation study of Figure 12.
  * Adapter lowering has no toggle: the graph lowering needs it, so
- * runPipeline always runs it first.
+ * runPipeline always runs it first. Hierarchy elimination has none
+ * either: the eliminate_hierarchy pragma in the source is the
+ * per-program control.
  * (The graph-level toggle — allocator hoisting — lives in
  * graph::GraphToggles, owned by core::CompileOptions; sub-word packing
  * and replicate bufferization are graph::GraphPassOptions passes.) */
 struct PassOptions
 {
-    bool eliminateHierarchy = true; ///< honor eliminate_hierarchy pragmas
     bool ifToSelect = true;
 };
 

@@ -51,11 +51,21 @@ TEST(CoreApi, GraphIsInspectable)
     EXPECT_NE(prog->dfg().toDot().find("digraph"), std::string::npos);
 }
 
-struct AblationCase
+namespace
 {
-    const char *name;
-    CompileOptions opts;
-};
+
+/** @p source without its eliminate_hierarchy pragmas: the pragma is
+ * the per-program control of the fork + atomics rewrite (Fig. 9). */
+std::string
+withoutHierarchyPragmas(std::string source)
+{
+    const std::string pragma = "pragma(eliminate_hierarchy);";
+    for (size_t at; (at = source.find(pragma)) != std::string::npos;)
+        source.erase(at, pragma.size());
+    return source;
+}
+
+} // namespace
 
 class PipelineAblation
     : public ::testing::TestWithParam<std::tuple<std::string, int>>
@@ -65,22 +75,12 @@ TEST_P(PipelineAblation, EveryConfigurationPreservesAppSemantics)
 {
     const auto &app = apps::findApp(std::get<0>(GetParam()));
     int config = std::get<1>(GetParam());
+    // Bit 0: if-conversion off; bit 1: hierarchy elimination off.
     CompileOptions opts;
-    switch (config) {
-      case 0:
-        break; // default
-      case 1:
-        opts.passes.ifToSelect = false;
-        break;
-      case 2:
-        opts.passes.eliminateHierarchy = false;
-        break;
-      case 3:
-        opts.passes.ifToSelect = false;
-        opts.passes.eliminateHierarchy = false;
-        break;
-    }
-    auto prog = CompiledArtifact::build(app.source, opts);
+    opts.passes.ifToSelect = !(config & 1);
+    const std::string source =
+        (config & 2) ? withoutHierarchyPragmas(app.source) : app.source;
+    auto prog = CompiledArtifact::build(source, opts);
     lang::DramImage dram(prog->hir());
     auto args = app.generate(dram, 4);
     graph::execute(prog->bytecode(), dram, args);

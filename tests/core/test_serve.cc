@@ -310,7 +310,7 @@ TEST(ServeCache, HitMissAndKeying)
 
     // Any option edit is a different artifact.
     CompileOptions alt;
-    alt.graphOpt.constFold = false;
+    alt.graphOpt.subwordPack = false;
     auto c = cache.get(app.source, alt);
     EXPECT_NE(a.get(), c.get());
     EXPECT_NE(a->fingerprint(), c->fingerprint());
@@ -342,26 +342,43 @@ TEST(ServeCache, FingerprintStableAndOptionSensitive)
     EXPECT_NE(artifactFingerprint("src", base),
               artifactFingerprint("src2", base));
 
-    // Sensitivity: one field from every options sub-struct must land
-    // in the canonical serialization — a knob missing here would alias
-    // cache entries across genuinely different compiles.
-    auto perturbed = [&](auto mutate) {
+    // Sensitivity: every non-machine switch, and machine fields of
+    // both numeric kinds, must land in the canonical serialization,
+    // each under its own key — a switch missing there would alias
+    // cache entries across genuinely different compiles. A new switch
+    // belongs in this list.
+    const std::vector<std::pair<const char *, void (*)(CompileOptions &)>>
+        edits = {
+            {"passes.ifToSelect",
+             [](CompileOptions &o) { o.passes.ifToSelect = false; }},
+            {"graphOpt.enable",
+             [](CompileOptions &o) { o.graphOpt.enable = false; }},
+            {"graphOpt.replicateBufferize",
+             [](CompileOptions &o) {
+                 o.graphOpt.replicateBufferize = false;
+             }},
+            {"graphOpt.subwordPack",
+             [](CompileOptions &o) { o.graphOpt.subwordPack = false; }},
+            {"graphOpt.validate",
+             [](CompileOptions &o) { o.graphOpt.validate = false; }},
+            {"graphOpt.machine.muBanks",
+             [](CompileOptions &o) { o.graphOpt.machine.muBanks = 17; }},
+            {"graphOpt.machine.clockGHz",
+             [](CompileOptions &o) { o.graphOpt.machine.clockGHz = 1.7; }},
+            {"graph.hoistAllocators",
+             [](CompileOptions &o) { o.graph.hoistAllocators = false; }},
+        };
+    std::map<std::string, std::string> seen = {
+        {canonicalOptions(base), "defaults"}};
+    for (const auto &[field, edit] : edits) {
         CompileOptions o;
-        mutate(o);
-        EXPECT_NE(canonicalOptions(base), canonicalOptions(o));
+        edit(o);
+        const auto [it, fresh] = seen.emplace(canonicalOptions(o), field);
+        EXPECT_TRUE(fresh) << field << " serializes like " << it->second;
         EXPECT_NE(artifactFingerprint("src", base),
-                  artifactFingerprint("src", o));
-    };
-    perturbed([](CompileOptions &o) { o.passes.ifToSelect = false; });
-    perturbed([](CompileOptions &o) { o.graphOpt.blockFusion = false; });
-    perturbed([](CompileOptions &o) { o.graphOpt.maxIterations = 9; });
-    perturbed([](CompileOptions &o) { o.graphOpt.machine.muBanks = 17; });
-    perturbed([](CompileOptions &o) {
-        o.graphOpt.machine.clockGHz = 1.7;
-    });
-    perturbed([](CompileOptions &o) {
-        o.graph.hoistAllocators = false;
-    });
+                  artifactFingerprint("src", o))
+            << field;
+    }
 
     // Spot-pin the serialization format so accidental reorderings
     // (which silently invalidate every persisted fingerprint) show up.
@@ -413,9 +430,9 @@ TEST(ServeCache, HarnessCompilesOncePerSourceAndOptions)
     EXPECT_GE(st.hits, 1u);
 
     // A different machine config is different options: new artifact.
-    sim::MachineConfig machine;
-    machine.muBanks = 8;
-    auto r3 = apps::runApp(app, 4, {}, {}, machine);
+    CompileOptions small_mu;
+    small_mu.graphOpt.machine.muBanks = 8;
+    auto r3 = apps::runApp(app, 4, small_mu);
     EXPECT_TRUE(r3.verified) << r3.verifyError;
     EXPECT_EQ(cache.stats().compiles, 2u);
     cache.clear();

@@ -18,6 +18,7 @@
 using revet::dataflow::Channel;
 using revet::dataflow::ChannelSegment;
 using revet::dataflow::Engine;
+using revet::dataflow::SegmentPool;
 using revet::sltf::Token;
 
 namespace
@@ -109,9 +110,10 @@ TEST(Channel, DestroyWithTokensQueuedIsClean)
     // Run under scripts/check.sh --sanitize: every segment a channel
     // still holds goes back to its pool, and the pool frees them.
     {
-        Channel standalone("standalone");
-        fill(standalone, 3 * kSeg + 4);
-        standalone.pop();
+        SegmentPool pool;
+        Channel outside("outside", Channel::unbounded, pool);
+        fill(outside, 3 * kSeg + 4);
+        outside.pop();
     }
     {
         Engine engine;
@@ -161,13 +163,14 @@ TEST(Channel, EngineChannelsShareOneSegmentPool)
 
 TEST(Channel, ValueWatchIsOptIn)
 {
-    Channel off("off");
+    SegmentPool pool; // declared first: outlives the channels below
+    Channel off("off", Channel::unbounded, pool);
     fill(off, 20);
     EXPECT_EQ(off.watch().dataPushed, 0u);
     EXPECT_EQ(off.watch().barriersPushed, 0u);
     EXPECT_EQ(off.barriersPushed(), 2u) << "barrier count is always kept";
 
-    Channel on("on");
+    Channel on("on", Channel::unbounded, pool);
     on.watchValues(true);
     on.push(Token::data(5));
     on.push(Token::data(0xfffffffeu)); // -2 signed
@@ -192,7 +195,7 @@ TEST(Channel, ValueWatchIsOptIn)
 
     // The watch sends every push through the checked path, where the
     // capacity bound still holds.
-    Channel tight("tight", 1);
+    Channel tight("tight", 1, pool);
     tight.watchValues(true);
     tight.push(Token::data(3));
     EXPECT_THROW(tight.push(Token::data(4)), std::runtime_error);

@@ -493,7 +493,8 @@ thrownMessage(Fn fn)
 
 TEST(Backpressure, PushOnFullChannelThrows)
 {
-    Channel ch("tight", 1);
+    SegmentPool pool;
+    Channel ch("tight", 1, pool);
     ch.push(Token::data(1));
     EXPECT_FALSE(ch.canPush());
     EXPECT_EQ(thrownMessage([&] { ch.push(Token::data(2)); }),
@@ -506,17 +507,19 @@ TEST(Backpressure, PushOnFullChannelThrows)
 
 TEST(Backpressure, PopOnEmptyChannelThrows)
 {
-    Channel ch("empty");
+    SegmentPool pool;
+    Channel ch("empty", Channel::unbounded, pool);
     EXPECT_EQ(thrownMessage([&] { ch.pop(); }),
               "channel 'empty' underflow: pop on an empty channel");
-    Channel nameless;
+    Channel nameless("", Channel::unbounded, pool);
     EXPECT_EQ(thrownMessage([&] { nameless.pop(); }),
               "channel '?' underflow: pop on an empty channel");
 }
 
 TEST(Backpressure, CapacityZeroChannelRejectsEveryPush)
 {
-    Channel ch("closed", 0);
+    SegmentPool pool;
+    Channel ch("closed", 0, pool);
     EXPECT_FALSE(ch.canPush());
     EXPECT_EQ(thrownMessage([&] { ch.push(Token::data(1)); }),
               "channel 'closed' overflow: push on a full bounded channel "

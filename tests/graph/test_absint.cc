@@ -16,11 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "../dataflow/shuffled_schedule.hh"
+#include "pass_pipeline.hh"
 #include "core/revet.hh"
 #include "graph/absint.hh"
 #include "graph/analyze.hh"
@@ -30,60 +29,11 @@
 using namespace revet;
 using namespace revet::graph;
 using lang::DramImage;
-using shuffled_test::allSchedules;
-using shuffled_test::runSchedule;
-using shuffled_test::scheduleName;
+using pass_test::expectOptimizedEquivalent;
+using pass_test::passPipeline;
 
 namespace
 {
-
-using Generate = std::function<std::vector<int32_t>(DramImage &)>;
-
-/**
- * Compile @p source unoptimized and with @p gopts, run both graphs and
- * the AST interpreter on identically generated images, and assert every
- * DRAM region is bit-identical on the engine and under every shuffled
- * schedule. Returns the optimized graph for structural assertions.
- */
-Dfg
-expectOptimizedEquivalent(const std::string &source,
-                          const Generate &generate,
-                          const GraphPassOptions &gopts,
-                          const std::string &label)
-{
-    CompileOptions raw;
-    raw.graphOpt.enable = false;
-    auto ref_prog = CompiledArtifact::build(source, raw);
-
-    CompileOptions opt;
-    opt.graphOpt = gopts;
-    auto opt_prog = CompiledArtifact::build(source, opt);
-    EXPECT_NO_THROW(opt_prog->dfg().verify()) << label;
-
-    DramImage ref(ref_prog->hir());
-    auto args = generate(ref);
-    ref_prog->interpret(ref, args);
-
-    for (std::optional<uint64_t> sched : allSchedules()) {
-        SCOPED_TRACE(scheduleName(sched));
-        DramImage a(ref_prog->hir());
-        generate(a);
-        auto sa = runSchedule(ref_prog->bytecode(), a, args, sched);
-        DramImage b(opt_prog->hir());
-        generate(b);
-        auto sb = runSchedule(opt_prog->bytecode(), b, args, sched);
-        EXPECT_TRUE(sa.drained && sb.drained) << label;
-        for (int d = 0; d < ref.dramCount(); ++d) {
-            EXPECT_EQ(a.bytes(d), b.bytes(d))
-                << label << ": DRAM region " << d
-                << " diverged between unoptimized and optimized graphs";
-            EXPECT_EQ(ref.bytes(d), b.bytes(d))
-                << label << ": DRAM region " << d
-                << " diverged from the AST interpreter";
-        }
-    }
-    return opt_prog->dfg();
-}
 
 int
 countNamed(const Dfg &g, const std::string &tag)
@@ -219,9 +169,7 @@ void main(int n) {
   };
 }
 )";
-    CompileOptions raw;
-    raw.graphOpt.enable = false;
-    auto prog = CompiledArtifact::build(src, raw);
+    auto prog = pass_test::buildUnoptimized(src);
     AbsintReport r = analyzeValues(prog->dfg());
     ASSERT_EQ(r.links.size(), prog->dfg().links.size());
     EXPECT_GT(r.iterations, 0);
@@ -265,20 +213,11 @@ void main(int n) {
         return std::vector<int32_t>{48};
     };
 
-    GraphPassOptions only;
-    only.constFold = false;
-    only.crossBlockConstProp = true;
-    only.copyProp = false;
-    only.fanoutCoalesce = false;
-    only.blockFusion = false;
-    only.deadNodeElim = false;
-    only.replicateBufferize = false;
-    only.subwordPack = false;
-    Dfg g = expectOptimizedEquivalent(src, gen, only, "cbcp-two-boundaries");
+    Dfg g = expectOptimizedEquivalent(
+        src, gen, passPipeline("cross-block-const-prop"),
+        "cbcp-two-boundaries");
 
-    CompileOptions raw;
-    raw.graphOpt.enable = false;
-    Dfg unopt = CompiledArtifact::build(src, raw)->dfg();
+    Dfg unopt = pass_test::buildUnoptimized(src)->dfg();
     EXPECT_LT(g.nodes.size(), unopt.nodes.size());
     // The pass itself splices every const-steered diamond: the
     // always-keep filters and the single-arm merges disappear (the
@@ -294,7 +233,7 @@ void main(int n) {
 
     // With the cleanup passes back on, the const-steered diamonds
     // collapse outright: well under half the unoptimized graph.
-    Dfg full = expectOptimizedEquivalent(src, gen, GraphPassOptions{},
+    Dfg full = expectOptimizedEquivalent(src, gen, passPipeline("full"),
                                          "cbcp-two-boundaries-full");
     EXPECT_LT(full.nodes.size() * 2, unopt.nodes.size())
         << "full pipeline left the const-steered diamonds intact";
@@ -328,7 +267,7 @@ void main(int n) {
         dram.resize("out", n * 4);
         return std::vector<int32_t>{n};
     };
-    Dfg g = expectOptimizedEquivalent(src, gen, GraphPassOptions{},
+    Dfg g = expectOptimizedEquivalent(src, gen, passPipeline("full"),
                                       "dpack-diamond");
     EXPECT_GE(countNamed(g, "dpack"), 1)
         << "no sub-word pack group in the optimized diamond";
@@ -382,17 +321,9 @@ void main(int count) {
         dram.resize("lengths", count * 4);
         return std::vector<int32_t>{count};
     };
-    GraphPassOptions only;
-    only.constFold = false;
-    only.crossBlockConstProp = false;
-    only.copyProp = false;
-    only.fanoutCoalesce = false;
-    only.blockFusion = false;
-    only.deadNodeElim = false;
-    only.replicateBufferize = false;
-    only.subwordPack = true;
-    expectOptimizedEquivalent(src, gen, only, "strlen-handle-subword-only");
-    expectOptimizedEquivalent(src, gen, GraphPassOptions{},
+    expectOptimizedEquivalent(src, gen, passPipeline("subword-pack"),
+                              "strlen-handle-subword-only");
+    expectOptimizedEquivalent(src, gen, passPipeline("full"),
                               "strlen-handle-full");
 }
 
@@ -415,9 +346,7 @@ void main(int n) {
   };
 }
 )";
-    CompileOptions raw;
-    raw.graphOpt.enable = false;
-    auto prog = CompiledArtifact::build(src, raw);
+    auto prog = pass_test::buildUnoptimized(src);
     AnalyzeReport rep = analyzeGraph(prog->dfg());
 
     auto count = [&](const std::string &code) {

@@ -339,13 +339,10 @@ brokenPipeline(const std::string &name, Fn fn)
 
 std::string
 runBrokenExpectThrow(Dfg g,
-                     const std::vector<std::unique_ptr<GraphPass>> &p,
-                     bool verifyBetween = true)
+                     const std::vector<std::unique_ptr<GraphPass>> &p)
 {
-    GraphPassOptions opts;
-    opts.verifyBetweenPasses = verifyBetween;
     try {
-        runPasses(g, p, opts);
+        runPasses(g, p, GraphPassOptions{});
     } catch (const ValidationError &e) {
         return e.what();
     }
@@ -561,22 +558,26 @@ TEST(AnalyzeValidate, ReorderedSourcesRejected)
 TEST(AnalyzeValidate, MispairedParkRejected)
 {
     auto prog = CompiledArtifact::build(replSrc);
-    ASSERT_GT(accountTokens(prog->dfg()).parks.size(), 0u);
-    auto pipeline =
-        brokenPipeline("broken-flip-keyed", [](Dfg &g) {
-            for (auto &n : g.nodes) {
-                if (n.kind == NodeKind::park) {
-                    n.keyed = !n.keyed;
-                    return 1;
-                }
-            }
-            return 0;
-        });
-    // verify() would also reject this; turn it off so the validator's
-    // own pairing check is what catches the mutation.
-    std::string what =
-        runBrokenExpectThrow(prog->dfg(), pipeline, false);
-    ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
+    Dfg g = prog->dfg();
+    const TokenAccount before = accountTokens(g);
+    ASSERT_GT(before.parks.size(), 0u);
+    bool flipped = false;
+    for (auto &n : g.nodes) {
+        if (n.kind == NodeKind::park) {
+            n.keyed = !n.keyed;
+            flipped = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(flipped);
+    // verify() would reject this first inside runPasses(); validate the
+    // rewrite directly so the validator's own pairing check is what
+    // catches the mutation.
+    const auto diags = validateRewrite("broken-flip-keyed", before, g,
+                                       analyzeValues(g));
+    ASSERT_TRUE(hasErrors(diags)) << "broken rewrite was not rejected";
+    const std::string what =
+        ValidationError("broken-flip-keyed", diags).what();
     EXPECT_NE(what.find("park-mispaired"), std::string::npos) << what;
     EXPECT_NE(what.find("park"), std::string::npos) << what;
 }

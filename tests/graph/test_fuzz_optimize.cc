@@ -24,10 +24,12 @@
  * so every graph sees a different schedule. Failures
  * shrink by regenerating the same seed with fewer stages and print
  * the seed, configuration, and offending graph's toDot() so the case
- * can be replayed:
+ * can be replayed (a run that throws is reported the same way):
  *
  *   REVET_FUZZ_SEED=<seed> REVET_FUZZ_ITERS=1 \
- *     ./tests/revet_test_fuzz --gtest_filter='...<config>...'
+ *     ./tests/revet_test_fuzz --gtest_filter='*<test name>'
+ *
+ * (the failure message prints the exact command).
  *
  * Determinism note: generated graphs observe results only through
  * DRAM writes keyed by a per-thread unique index lane that rides
@@ -50,6 +52,7 @@
 #include <vector>
 
 #include "../dataflow/shuffled_schedule.hh"
+#include "pass_pipeline.hh"
 #include "graph/absint.hh"
 #include "graph/bytecode.hh"
 #include "graph/dfg.hh"
@@ -866,24 +869,6 @@ class RandomDfg
     }
 };
 
-/** Optimizer configuration with exactly one pass enabled (or "full"). */
-GraphPassOptions
-passConfig(const std::string &which)
-{
-    GraphPassOptions o;
-    if (which == "full")
-        return o;
-    o.constFold = which == "const-fold";
-    o.crossBlockConstProp = which == "cross-block-const-prop";
-    o.copyProp = which == "copy-prop";
-    o.fanoutCoalesce = which == "fanout-coalesce";
-    o.blockFusion = which == "block-fusion";
-    o.deadNodeElim = which == "dead-node-elim";
-    o.replicateBufferize = which == "replicate-bufferize";
-    o.subwordPack = which == "subword-pack";
-    return o;
-}
-
 /** Run @p g on the engine when @p schedule is empty, else under the
  * shuffled schedule @p *schedule, which also hands back the per-link
  * value watches through @p watchesOut. */
@@ -961,12 +946,13 @@ checkValueSoundness(const Dfg &g, const shuffled_test::Watches &watches,
 /** One differential run; returns an empty string on success, else a
  * description of the divergence. */
 std::string
-diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
+diffOnce(uint32_t seed, int stages, const std::string &config)
 {
     RandomDfg gen(seed, stages);
     Dfg optimized = gen.graph; // copy
     try {
-        runPasses(optimized, makeDefaultPasses(gopts), gopts);
+        runPasses(optimized, pass_test::passPipeline(config),
+                  GraphPassOptions{});
         optimized.verify();
     } catch (const std::exception &err) {
         return std::string("optimizer/verify threw: ") + err.what();
@@ -980,10 +966,24 @@ diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
         const std::string name = shuffled_test::scheduleName(schedule);
         graph::ExecStats sa, sb;
         shuffled_test::Watches wa, wb;
-        auto a = runGraph(gen.graph, gen.scratchElems, gen.outElems,
-                          seed, schedule, &sa, &wa);
-        auto b = runGraph(optimized, gen.scratchElems, gen.outElems,
-                          seed, schedule, &sb, &wb);
+        std::vector<std::vector<uint8_t>> a, b;
+        // A throwing run (machine-model violation, livelock, a watch
+        // that missed a push) is a failure like any divergence: it
+        // must reach the shrinker and the replay line, not abort the
+        // whole configuration.
+        try {
+            a = runGraph(gen.graph, gen.scratchElems, gen.outElems, seed,
+                         schedule, &sa, &wa);
+        } catch (const std::exception &err) {
+            return "raw graph threw under " + name + ": " + err.what();
+        }
+        try {
+            b = runGraph(optimized, gen.scratchElems, gen.outElems, seed,
+                         schedule, &sb, &wb);
+        } catch (const std::exception &err) {
+            return "optimized graph threw under " + name + ": " +
+                err.what();
+        }
         if (!schedule) {
             engine_raw = a;
         } else {
@@ -1021,7 +1021,6 @@ class FuzzOptimize : public ::testing::TestWithParam<std::string>
 TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
 {
     const std::string config = GetParam();
-    const GraphPassOptions gopts = passConfig(config);
     const int iters = envInt("REVET_FUZZ_ITERS", 200);
     const uint32_t base =
         static_cast<uint32_t>(envInt("REVET_FUZZ_SEED", 20260730));
@@ -1029,7 +1028,7 @@ TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
 
     for (int i = 0; i < iters; ++i) {
         uint32_t seed = base + static_cast<uint32_t>(i) * 7919u;
-        std::string err = diffOnce(seed, maxStages, gopts);
+        std::string err = diffOnce(seed, maxStages, config);
         if (err.empty())
             continue;
         // Shrink: same seed, fewer stages, report the smallest still-
@@ -1037,7 +1036,7 @@ TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
         int failingStages = maxStages;
         std::string failingErr = err;
         for (int s = maxStages - 1; s >= 0; --s) {
-            std::string e = diffOnce(seed, s, gopts);
+            std::string e = diffOnce(seed, s, config);
             if (e.empty())
                 break;
             failingStages = s;
@@ -1048,7 +1047,11 @@ TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
                << " stages=" << failingStages << ": " << failingErr
                << "\nreplay: REVET_FUZZ_SEED=" << seed
                << " REVET_FUZZ_ITERS=1 revet_test_fuzz"
-               << " --gtest_filter='*" << config << "*'"
+               << " --gtest_filter='*"
+               << ::testing::UnitTest::GetInstance()
+                      ->current_test_info()
+                      ->name()
+               << "'"
                << "\noffending graph:\n"
                << repro.graph.toDot();
     }
@@ -1056,9 +1059,7 @@ TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, FuzzOptimize,
-    ::testing::Values("const-fold", "cross-block-const-prop", "copy-prop",
-                      "fanout-coalesce", "block-fusion", "dead-node-elim",
-                      "replicate-bufferize", "subword-pack", "full"),
+    ::testing::ValuesIn(pass_test::passConfigs()),
     [](const auto &info) {
         std::string name = info.param;
         for (auto &c : name) {

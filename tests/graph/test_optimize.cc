@@ -20,9 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 
-#include "../dataflow/shuffled_schedule.hh"
+#include "pass_pipeline.hh"
 #include "apps/apps.hh"
 #include "core/revet.hh"
 #include "graph/optimize.hh"
@@ -34,83 +33,17 @@
 using namespace revet;
 using namespace revet::graph;
 using lang::DramImage;
+using pass_test::allPassesBut;
+using pass_test::expectOptimizedEquivalent;
+using pass_test::Generate;
+using pass_test::passConfigs;
+using pass_test::passPipeline;
 using shuffled_test::allSchedules;
 using shuffled_test::runSchedule;
 using shuffled_test::scheduleName;
 
 namespace
 {
-
-/** Optimizer configuration with exactly one pass enabled ("full" and
- * "off" are also accepted). */
-GraphPassOptions
-passConfig(const std::string &which)
-{
-    GraphPassOptions o;
-    if (which == "full")
-        return o;
-    o.constFold = which == "const-fold";
-    o.crossBlockConstProp = which == "cross-block-const-prop";
-    o.copyProp = which == "copy-prop";
-    o.fanoutCoalesce = which == "fanout-coalesce";
-    o.blockFusion = which == "block-fusion";
-    o.deadNodeElim = which == "dead-node-elim";
-    o.replicateBufferize = which == "replicate-bufferize";
-    o.subwordPack = which == "subword-pack";
-    return o;
-}
-
-const std::vector<std::string> kPassConfigs = {
-    "const-fold",   "cross-block-const-prop", "copy-prop",
-    "fanout-coalesce", "block-fusion", "dead-node-elim",
-    "replicate-bufferize", "subword-pack", "full"};
-
-using Generate = std::function<std::vector<int32_t>(DramImage &)>;
-
-/**
- * Compile @p source unoptimized and with @p gopts, run both graphs and
- * the AST interpreter on identically generated images, and assert every
- * DRAM region is bit-identical on the engine and under every shuffled
- * schedule.
- */
-void
-expectOptimizedEquivalent(const std::string &source,
-                          const Generate &generate,
-                          const GraphPassOptions &gopts,
-                          const std::string &label)
-{
-    CompileOptions raw;
-    raw.graphOpt.enable = false;
-    auto ref_prog = CompiledArtifact::build(source, raw);
-
-    CompileOptions opt;
-    opt.graphOpt = gopts;
-    auto opt_prog = CompiledArtifact::build(source, opt);
-    EXPECT_NO_THROW(opt_prog->dfg().verify()) << label;
-
-    DramImage ref(ref_prog->hir());
-    auto args = generate(ref);
-    ref_prog->interpret(ref, args);
-
-    for (std::optional<uint64_t> sched : allSchedules()) {
-        SCOPED_TRACE(scheduleName(sched));
-        DramImage a(ref_prog->hir());
-        generate(a);
-        auto sa = runSchedule(ref_prog->bytecode(), a, args, sched);
-        DramImage b(opt_prog->hir());
-        generate(b);
-        auto sb = runSchedule(opt_prog->bytecode(), b, args, sched);
-        EXPECT_TRUE(sa.drained && sb.drained) << label;
-        for (int d = 0; d < ref.dramCount(); ++d) {
-            EXPECT_EQ(a.bytes(d), b.bytes(d))
-                << label << ": DRAM region " << d
-                << " diverged between unoptimized and optimized graphs";
-            EXPECT_EQ(ref.bytes(d), b.bytes(d))
-                << label << ": DRAM region " << d
-                << " diverged from the AST interpreter";
-        }
-    }
-}
 
 Dfg
 lowered(const std::string &src)
@@ -146,7 +79,7 @@ TEST_P(GraphOptEquivApps, BitIdenticalToUnoptimizedAndInterp)
     expectOptimizedEquivalent(
         app.source,
         [&](DramImage &dram) { return app.generate(dram, scale); },
-        passConfig(config), app.name + "/" + config);
+        passPipeline(config), app.name + "/" + config);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -155,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "hash-table", "search",
                                          "huff-dec", "huff-enc",
                                          "kD-tree"),
-                       ::testing::ValuesIn(kPassConfigs)),
+                       ::testing::ValuesIn(passConfigs())),
     [](const auto &info) {
         std::string name = std::get<0>(info.param) + "_" +
             std::get<1>(info.param);
@@ -433,9 +366,9 @@ TEST(GraphOptEquiv, LanguageFixtures)
          }},
     };
     for (const auto &f : fixtures) {
-        for (const std::string &config : kPassConfigs) {
+        for (const std::string &config : passConfigs()) {
             expectOptimizedEquivalent(
-                f.source, f.generate, passConfig(config),
+                f.source, f.generate, passPipeline(config),
                 std::string(f.label) + "/" + config);
         }
     }
@@ -468,7 +401,7 @@ void main(int count) {
         return std::vector<int32_t>{128};
     };
     for (const char *config : {"cross-block-const-prop", "full"})
-        expectOptimizedEquivalent(src, gen, passConfig(config),
+        expectOptimizedEquivalent(src, gen, passPipeline(config),
                                   std::string("view-fill/") + config);
 }
 
@@ -1462,36 +1395,33 @@ TEST(GraphOptStructure, OrdinalLaneCountedInBundleWidth)
     // lanes leave the while header's bundle, the fourth is repurposed
     // as the ordinal lane and still occupies a bundle slot — the
     // resource model's merge width (outs.size()) must include it.
-    CompileOptions off;
-    off.graphOpt.enable = false;
-    auto raw = CompiledArtifact::build(kReorderReplicateSrc, off);
+    auto raw = pass_test::buildUnoptimized(kReorderReplicateSrc);
     // Cross-block constant propagation would fold the constant token
-    // ride away before bufferize ever sees it; pin it off so all four
+    // ride away before bufferize ever sees it; leave it out so all four
     // rides reach the park rewrite this fixture is about.
-    CompileOptions on;
-    on.graphOpt.crossBlockConstProp = false;
-    auto opt = CompiledArtifact::build(kReorderReplicateSrc, on);
+    const Dfg opt = pass_test::optimizedGraph(
+        *raw, allPassesBut("cross-block-const-prop"));
 
     int wraw = fbMergeWidth(raw->dfg());
-    int wopt = fbMergeWidth(opt->dfg());
+    int wopt = fbMergeWidth(opt);
     ASSERT_GT(wraw, 0);
     ASSERT_GT(wopt, 0);
     EXPECT_EQ(wopt, wraw - 3);
-    EXPECT_EQ(countOrdinals(opt->dfg()), 1);
+    EXPECT_EQ(countOrdinals(opt), 1);
     int keyed = 0;
-    for (const auto &n : opt->dfg().nodes)
+    for (const auto &n : opt.nodes)
         keyed += n.kind == NodeKind::park && n.keyed;
     EXPECT_EQ(keyed, 4);
 
     // The raw graph pays the per-replica retiming fallback for its
     // riding pass-overs; the rewritten one pays keyed slots + the
     // ordinal lane instead.
-    graph::Dfg don = opt->dfg(), doff = raw->dfg();
+    graph::Dfg don = opt, doff = raw->dfg();
     sim::MachineConfig machine;
     auto ron = analyzeResources(don, machine, {});
     auto roff = analyzeResources(doff, machine, {});
     EXPECT_EQ(raw->dfg().replicateRideLanes(0).size(), 4u);
-    EXPECT_TRUE(opt->dfg().replicateRideLanes(0).empty());
+    EXPECT_TRUE(opt.replicateRideLanes(0).empty());
     EXPECT_GT(ron.bufferMU, 0);
     EXPECT_LT(ron.bufferMU, roff.bufferMU);
     EXPECT_LT(ron.replCU, roff.replCU);

@@ -81,7 +81,7 @@ TEST_P(ModelPerApp, AurochsModeNeverFaster)
 {
     const auto &app = apps::findApp(GetParam());
     auto revet_run = apps::runApp(app, 8);
-    auto aurochs_run = apps::runApp(app, 8, {}, {}, {}, true);
+    auto aurochs_run = apps::runApp(app, 8, {}, {}, true);
     EXPECT_GE(revet_run.perf.gbPerSec + 1e-9,
               aurochs_run.perf.gbPerSec);
 }
