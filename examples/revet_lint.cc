@@ -18,9 +18,13 @@
  *
  * Translation validation runs inside the compile itself (the default
  * GraphPassOptions::validate knob): a pass application that breaks
- * token conservation aborts compilation with a ValidationError, which
- * this driver reports as diagnostics. The rate-balance and deadlock
- * analyses then run on the surviving graph.
+ * token conservation or rate balance aborts compilation with a
+ * ValidationError, which this driver reports as diagnostics. A pass
+ * that breaks a structural invariant (Dfg::verify(): pairing, arities,
+ * lane element types, region membership) aborts it earlier with a
+ * std::logic_error, reported as a compile error. The rate-balance,
+ * deadlock and value reports are the ones the compile already computed
+ * for the surviving graph (CompiledArtifact::analysis()).
  *
  * Exit status: 0 clean (warnings allowed), 1 any error diagnostic or
  * failed compile, 2 usage. With --json every diagnostic is one JSON
@@ -60,7 +64,7 @@ lintSource(const std::string &source)
         auto prog = CompiledArtifact::build(source);
         out.compiled = true;
         out.validatedPasses = prog->optReport().validatedPasses;
-        out.report = graph::analyzeGraph(prog->dfg());
+        out.report = prog->analysis();
         out.errors = out.report.hasErrors();
     } catch (const graph::ValidationError &e) {
         out.compileDiags = e.diagnostics();

@@ -43,10 +43,9 @@ main(int argc, char **argv)
     // Compile once, share everywhere. A second get() with the same
     // (source, options) below would be a cache hit.
     auto artifact = ArtifactCache::global().get(app.source);
-    std::printf("artifact: %s  nodes=%zu links=%zu fingerprint=%016llx\n",
-                app.name.c_str(), artifact->bytecode().insts.size(),
-                artifact->bytecode().numLinks,
-                static_cast<unsigned long long>(artifact->fingerprint()));
+    std::printf("artifact: %s  nodes=%zu links=%zu\n", app.name.c_str(),
+                artifact->bytecode().insts.size(),
+                artifact->bytecode().numLinks);
 
     // Every request runs the app at a slightly different scale, so the
     // batch exercises the contexts with genuinely different inputs.

@@ -72,24 +72,6 @@ canonicalOptions(const CompileOptions &opts)
     return oss.str();
 }
 
-uint64_t
-artifactFingerprint(const std::string &source, const CompileOptions &opts)
-{
-    const std::string key = canonicalOptions(opts);
-    uint64_t h = 1469598103934665603ull; // FNV offset basis
-    auto mix = [&h](const std::string &s) {
-        for (unsigned char c : s) {
-            h ^= c;
-            h *= 1099511628211ull; // FNV prime
-        }
-    };
-    mix(source);
-    h ^= 0xffu; // domain separator between the two strings
-    h *= 1099511628211ull;
-    mix(key);
-    return h;
-}
-
 std::shared_ptr<const CompiledArtifact>
 CompiledArtifact::build(const std::string &source,
                         const CompileOptions &opts)
@@ -99,7 +81,6 @@ CompiledArtifact::build(const std::string &source,
     std::shared_ptr<CompiledArtifact> out(new CompiledArtifact());
     out->source_ = source;
     out->cache_key_ = canonicalOptions(opts);
-    out->fingerprint_ = artifactFingerprint(source, opts);
     out->ref_ = lang::parseAndAnalyze(source);
     out->hir_ = lang::parseAndAnalyze(source);
     passes::runPipeline(out->hir_, opts.passes);
@@ -143,15 +124,14 @@ ArtifactCache::global()
 std::shared_ptr<const CompiledArtifact>
 ArtifactCache::get(const std::string &source, const CompileOptions &opts)
 {
-    const std::string key = canonicalOptions(opts);
-    const uint64_t fp = artifactFingerprint(source, opts);
+    std::string key = source;
+    key += '\0';
+    key += canonicalOptions(opts);
     std::lock_guard<std::mutex> guard(mu_);
-    auto &bucket = buckets_[fp];
-    for (const auto &art : bucket) {
-        if (art->source() == source && art->cacheKey() == key) {
-            ++stats_.hits;
-            return art;
-        }
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+        ++stats_.hits;
+        return it->second;
     }
     ++stats_.misses;
     // Compile under the lock: concurrent first requests deduplicate
@@ -159,7 +139,7 @@ ArtifactCache::get(const std::string &source, const CompileOptions &opts)
     // caches nothing and leaves only the miss counted.
     auto art = CompiledArtifact::build(source, opts);
     ++stats_.compiles;
-    bucket.push_back(art);
+    entries_.emplace(std::move(key), art);
     ++stats_.entries;
     return art;
 }
@@ -175,7 +155,7 @@ void
 ArtifactCache::clear()
 {
     std::lock_guard<std::mutex> guard(mu_);
-    buckets_.clear();
+    entries_.clear();
     stats_ = Stats{};
 }
 

@@ -8,8 +8,8 @@
  *    and shareable across threads: both HIRs, the optimized DFG, the
  *    flat bytecode, and the optimizer/resource/analysis reports. Built
  *    directly (build()) or through the process-wide ArtifactCache,
- *    which keys artifacts by a content hash of (source text, canonical
- *    CompileOptions serialization).
+ *    which keys artifacts by (source text, canonical CompileOptions
+ *    serialization).
  *
  *  - graph::ExecutionContext — the mutable half (channel FIFOs,
  *    per-instruction state, SRAM arena), instantiated from an artifact
@@ -90,13 +90,6 @@ struct CompileOptions
  */
 std::string canonicalOptions(const CompileOptions &opts);
 
-/** FNV-1a 64-bit content hash of (source, canonicalOptions(opts)) —
- * the ArtifactCache bucket index. Buckets chain and compare the full
- * source + options strings, so a collision costs a string compare,
- * never a wrong artifact. */
-uint64_t artifactFingerprint(const std::string &source,
-                             const CompileOptions &opts);
-
 /**
  * One compilation, frozen: the immutable half of the serving split.
  *
@@ -125,9 +118,6 @@ class CompiledArtifact
     /** canonicalOptions() of the options compiled under: the options
      * half of the cache key. */
     const std::string &cacheKey() const { return cache_key_; }
-
-    /** artifactFingerprint() of (source, options). */
-    uint64_t fingerprint() const { return fingerprint_; }
 
     /** The post-pipeline HIR (for DramImage construction and debug). */
     const lang::Program &hir() const { return hir_; }
@@ -169,7 +159,6 @@ class CompiledArtifact
 
     std::string source_;
     std::string cache_key_;
-    uint64_t fingerprint_ = 0;
     lang::Program ref_; ///< pre-pipeline HIR, for interpret()
     lang::Program hir_;
     graph::Dfg dfg_;
@@ -183,9 +172,9 @@ class CompiledArtifact
  * Process-wide artifact cache: get() returns the one shared artifact
  * for a (source, options) pair, compiling on first request.
  *
- * Lookup hashes the pair to an artifactFingerprint() bucket and then
- * compares the stored source and cacheKey() strings, so hash
- * collisions degrade to a string compare instead of serving the wrong
+ * Entries are keyed by the one string source + '\0' +
+ * canonicalOptions(opts), so equal keys mean equal compilations and a
+ * hash collision costs the map a string compare, never a wrong
  * program. Misses compile *under the cache lock*: concurrent first
  * requests for the same program deduplicate into one compile (the
  * losers block and then hit), which is the behavior a serving frontend
@@ -221,10 +210,9 @@ class ArtifactCache
 
   private:
     mutable std::mutex mu_;
-    std::unordered_map<
-        uint64_t,
-        std::vector<std::shared_ptr<const CompiledArtifact>>>
-        buckets_;
+    std::unordered_map<std::string,
+                       std::shared_ptr<const CompiledArtifact>>
+        entries_;
     Stats stats_;
 };
 

@@ -786,10 +786,7 @@ struct Solver
                 deadIn |= val(l).bottom;
             bool hasEffect = false;
             for (const BlockOp &op : n.ops)
-                hasEffect |= op.kind == OpKind::sramWrite ||
-                             op.kind == OpKind::dramWrite ||
-                             op.kind == OpKind::rmwAdd ||
-                             op.kind == OpKind::rmwSub;
+                hasEffect |= isEffectOp(op.kind);
             if (deadIn && !n.ins.empty()) {
                 if (hasEffect) {
                     ValueFinding f;

@@ -56,13 +56,14 @@ idArray(const std::vector<int> &ids)
 std::string
 effectKey(const BlockOp &op)
 {
+    if (!isEffectOp(op.kind))
+        return {};
     switch (op.kind) {
-      case OpKind::sramWrite: return "sramWrite";
-      case OpKind::rmwAdd: return "rmwAdd";
-      case OpKind::rmwSub: return "rmwSub";
       case OpKind::dramWrite:
         return "dramWrite@" + std::to_string(op.dram);
-      default: return {};
+      case OpKind::rmwAdd: return "rmwAdd";
+      case OpKind::rmwSub: return "rmwSub";
+      default: return "sramWrite"; // the one remaining effect op
     }
 }
 
@@ -683,197 +684,6 @@ struct RateSolver
     }
 };
 
-/** Structural checks over one graph: park/restore pairing, keyed
- * ordinal coverage, region boundary discipline, bundle element
- * widths. Shared by validateRewrite (post-pass) and revet-lint. */
-void
-structuralChecks(const Dfg &g, std::vector<Diagnostic> &out)
-{
-    auto emit = [&](const std::string &code, const std::string &msg,
-                    std::vector<int> nodes, std::vector<int> links) {
-        Diagnostic d;
-        d.analysis = "validate";
-        d.code = code;
-        d.severity = Diagnostic::Severity::error;
-        d.message = msg;
-        d.nodes = std::move(nodes);
-        d.links = std::move(links);
-        out.push_back(std::move(d));
-    };
-
-    const int n_nodes = static_cast<int>(g.nodes.size());
-    const int n_links = static_cast<int>(g.links.size());
-
-    for (const Node &n : g.nodes) {
-        // Park/restore pairing and keyed agreement, without relying on
-        // Dfg::verify() (the validator must catch what a broken pass
-        // breaks even when verification is off).
-        if (n.kind == NodeKind::park) {
-            int dst = n.outs.size() == 1 && n.outs[0] >= 0 &&
-                    n.outs[0] < n_links
-                ? g.links[n.outs[0]].dst
-                : -1;
-            const Node *r = dst >= 0 && dst < n_nodes ? &g.nodes[dst]
-                                                      : nullptr;
-            if (!r || r->kind != NodeKind::restore ||
-                r->parkRegion != n.parkRegion || r->keyed != n.keyed) {
-                emit("park-mispaired",
-                     "park " + nodeRef(g, n.id) + " for region " +
-                         std::to_string(n.parkRegion) +
-                         (r ? " feeds " + nodeRef(g, r->id) +
-                                  " which is not its matching restore "
-                                  "(region/keyed disagree)"
-                            : " has no matching restore"),
-                     r ? std::vector<int>{n.id, r->id}
-                       : std::vector<int>{n.id},
-                     n.outs);
-            }
-        }
-        if (n.kind == NodeKind::restore) {
-            int src = !n.ins.empty() && n.ins[0] >= 0 && n.ins[0] < n_links
-                ? g.links[n.ins[0]].src
-                : -1;
-            const Node *p = src >= 0 && src < n_nodes ? &g.nodes[src]
-                                                      : nullptr;
-            if (!p || p->kind != NodeKind::park ||
-                p->parkRegion != n.parkRegion || p->keyed != n.keyed) {
-                emit("park-mispaired",
-                     "restore " + nodeRef(g, n.id) + " for region " +
-                         std::to_string(n.parkRegion) +
-                         (p ? " is fed by " + nodeRef(g, p->id) +
-                                  " which is not its matching park "
-                                  "(region/keyed disagree)"
-                            : " is not fed by a park"),
-                     p ? std::vector<int>{n.id, p->id}
-                       : std::vector<int>{n.id},
-                     n.ins);
-            }
-        }
-        // Park machinery is boundary equipment: it buffers *around* a
-        // region and must never be placed inside one.
-        if ((n.kind == NodeKind::park || n.kind == NodeKind::restore ||
-             n.kind == NodeKind::ordinal) &&
-            n.replicateRegion >= 0) {
-            emit("region-boundary",
-                 nodeRef(g, n.id) + " serves region " +
-                     std::to_string(n.parkRegion) +
-                     " but sits inside region " +
-                     std::to_string(n.replicateRegion),
-                 {n.id}, {});
-        }
-        // Bundle element-width consistency: filter lanes and merge
-        // lanes must carry the same element type end to end (the
-        // sub-word packing invariant).
-        if (n.kind == NodeKind::filter &&
-            n.ins.size() == n.outs.size() + 1) {
-            for (size_t j = 0; j < n.outs.size(); ++j) {
-                if (n.ins[j + 1] < 0 || n.ins[j + 1] >= n_links ||
-                    n.outs[j] < 0 || n.outs[j] >= n_links)
-                    continue;
-                if (g.links[n.ins[j + 1]].elem != g.links[n.outs[j]].elem) {
-                    emit("bundle-elem",
-                         "filter " + nodeRef(g, n.id) + " lane " +
-                             std::to_string(j) +
-                             " changes element type across the bundle",
-                         {n.id}, {n.ins[j + 1], n.outs[j]});
-                }
-            }
-        }
-        if ((n.kind == NodeKind::fwdMerge ||
-             n.kind == NodeKind::fbMerge) &&
-            n.ins.size() == 2 * n.outs.size()) {
-            size_t half = n.outs.size();
-            for (size_t j = 0; j < half; ++j) {
-                int la = n.ins[j], lb = n.ins[j + half], lo = n.outs[j];
-                if (la < 0 || la >= n_links || lb < 0 || lb >= n_links ||
-                    lo < 0 || lo >= n_links)
-                    continue;
-                if (g.links[la].elem != g.links[lo].elem ||
-                    g.links[lb].elem != g.links[lo].elem) {
-                    emit("bundle-elem",
-                         "merge " + nodeRef(g, n.id) + " lane " +
-                             std::to_string(j) +
-                             " changes element type across the bundle",
-                         {n.id}, {la, lb, lo});
-                }
-            }
-        }
-    }
-
-    // Links jumping between the interiors of two different replicate
-    // regions are legal (lowering chains back-to-back regions
-    // directly, and copy-prop splices the wiring blocks between them)
-    // but worth surfacing: such values are candidates for parking and
-    // constrain both regions' distribution trees. Warning only.
-    for (const Link &l : g.links) {
-        if (l.src < 0 || l.src >= n_nodes || l.dst < 0 || l.dst >= n_nodes)
-            continue;
-        int rs = g.nodes[l.src].replicateRegion;
-        int rd = g.nodes[l.dst].replicateRegion;
-        if (rs >= 0 && rd >= 0 && rs != rd) {
-            Diagnostic d;
-            d.analysis = "validate";
-            d.code = "region-crossing";
-            d.severity = Diagnostic::Severity::warning;
-            d.message = "link '" + l.name + "' (#" +
-                std::to_string(l.id) + ") crosses from region " +
-                std::to_string(rs) + " interior (" + nodeRef(g, l.src) +
-                ") into region " + std::to_string(rd) + " interior (" +
-                nodeRef(g, l.dst) + ")";
-            d.nodes = {l.src, l.dst};
-            d.links = {l.id};
-            out.push_back(std::move(d));
-        }
-    }
-
-    // ReplicateInfo::nodeIds must agree with Node::replicateRegion in
-    // both directions.
-    for (const auto &info : g.replicates) {
-        std::set<int> members(info.nodeIds.begin(), info.nodeIds.end());
-        for (int id : members) {
-            if (id < 0 || id >= n_nodes ||
-                g.nodes[id].replicateRegion != info.id) {
-                emit("region-membership",
-                     "region " + std::to_string(info.id) + " lists " +
-                         nodeRef(g, id) +
-                         " as a member but the node disagrees",
-                     {id}, {});
-            }
-        }
-        for (const Node &n : g.nodes) {
-            if (n.replicateRegion == info.id && !members.count(n.id)) {
-                emit("region-membership",
-                     nodeRef(g, n.id) + " claims region " +
-                         std::to_string(info.id) +
-                         " membership but the region does not list it",
-                     {n.id}, {});
-            }
-        }
-    }
-
-    // Keyed parking needs its ordinal lane: an ordinal-keyed restore
-    // without a thread-enumerating ordinal node for the region can
-    // never be fed keys.
-    std::map<int, std::vector<int>> keyedParks;
-    std::set<int> ordinalRegions;
-    for (const Node &n : g.nodes) {
-        if (n.kind == NodeKind::park && n.keyed)
-            keyedParks[n.parkRegion].push_back(n.id);
-        if (n.kind == NodeKind::ordinal)
-            ordinalRegions.insert(n.parkRegion);
-    }
-    for (const auto &kv : keyedParks) {
-        if (!ordinalRegions.count(kv.first)) {
-            emit("ordinal-missing",
-                 "region " + std::to_string(kv.first) + " has " +
-                     std::to_string(kv.second.size()) +
-                     " ordinal-keyed park(s) but no ordinal node "
-                     "enumerating its threads",
-                 kv.second, {});
-        }
-    }
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -1049,14 +859,18 @@ validateRewrite(const std::string &passName, const TokenAccount &before,
         auto nit = now.parks.find(r);
         const auto &b = bit == before.parks.end() ? zero : bit->second;
         const auto &a = nit == now.parks.end() ? zero : nit->second;
-        std::vector<int> ids;
-        for (const Node &n : after.nodes) {
-            if ((n.kind == NodeKind::park ||
-                 n.kind == NodeKind::restore ||
-                 n.kind == NodeKind::ordinal) &&
-                n.parkRegion == r)
-                ids.push_back(n.id);
-        }
+        // The region's park machinery (or only its parks) in @p after.
+        auto machinery = [&](bool parksOnly) {
+            std::vector<int> ids;
+            for (const Node &n : after.nodes) {
+                if ((n.kind == NodeKind::park ||
+                     (!parksOnly && (n.kind == NodeKind::restore ||
+                                     n.kind == NodeKind::ordinal))) &&
+                    n.parkRegion == r)
+                    ids.push_back(n.id);
+            }
+            return ids;
+        };
         auto census = [](const TokenAccount::RegionParks &c) {
             return std::to_string(c.fifoParks) + " fifo / " +
                 std::to_string(c.keyedParks) + " keyed park(s), " +
@@ -1070,19 +884,28 @@ validateRewrite(const std::string &passName, const TokenAccount &before,
             emit("park-added",
                  "added park machinery for region " + std::to_string(r) +
                      " (" + census(b) + " -> " + census(a) + ")",
-                 ids);
+                 machinery(false));
         }
         if (shrank && !perm.dropParks) {
             emit("park-dropped",
                  "removed park machinery for region " +
                      std::to_string(r) + " (" + census(b) + " -> " +
                      census(a) + ")",
-                 ids);
+                 machinery(false));
+        }
+        // Keyed parking needs its ordinal lane: an ordinal-keyed
+        // restore in a region without a thread-enumerating ordinal node
+        // can never be fed keys. (Hand-built graphs may key a park from
+        // any stream; pipeline output always keys from an ordinal.)
+        if (a.keyedParks > 0 && a.ordinals == 0) {
+            emit("ordinal-missing",
+                 "region " + std::to_string(r) + " has " +
+                     std::to_string(a.keyedParks) +
+                     " ordinal-keyed park(s) but no ordinal node "
+                     "enumerating its threads",
+                 machinery(true));
         }
     }
-
-    // Structural discipline of the rewritten graph.
-    structuralChecks(after, out);
 
     // Token-rate balance must still hold. Only the verdict matters
     // here, so the solved link rates are never rendered.

@@ -12,10 +12,11 @@
  *    the memory-effect multiset, and the park/restore/ordinal census
  *    per replicate region); validateRewrite() compares a pre-pass
  *    account against the rewritten graph under the pass's declared
- *    permissions (permissionsFor()) and structurally checks
- *    park/restore pairing, keyed-ordinal coverage, filter/merge
- *    bundle element-width consistency, and replicate-region boundary
- *    discipline. runPasses() invokes it after every applied pass when
+ *    permissions (permissionsFor()), requires an ordinal node in every
+ *    region with keyed parks, and re-solves rate balance. Structural
+ *    invariants (pairing, arities, lane element types, region
+ *    membership) belong to Dfg::verify(), which runPasses() runs first.
+ *    runPasses() invokes the validator after every applied pass when
  *    GraphPassOptions::validate is set and rejects the rewrite with a
  *    ValidationError naming the offending nodes;
  *
@@ -142,13 +143,15 @@ PassPermissions permissionsFor(const std::string &passName);
 /**
  * Validate one pass application: compare the pre-pass @p before
  * account against the rewritten @p after graph under @p passName's
- * permissions, run the structural checks (pairing, keyed-ordinal
- * coverage, bundle element widths, region boundaries), and re-run the
- * rate balance analysis over @p vals, the value-analysis facts
- * (absint.hh) of @p after. When @p account is non-null it receives
- * @p after's token account, so a pipeline can carry it forward as the
- * next pass's pre-pass account. Returns every finding; the caller
- * decides whether errors reject the rewrite (runPasses throws).
+ * permissions (ordered sources, effect multiset, park census), require
+ * an ordinal node in every region with keyed parks (ordinal-missing),
+ * and re-run the rate balance analysis over @p vals, the value-analysis
+ * facts (absint.hh) of @p after. @p after is assumed Dfg::verify()-
+ * clean; the validator does not re-check structure. When @p account
+ * is non-null it receives @p after's token account, so a pipeline can
+ * carry it forward as the next pass's pre-pass account. Returns every
+ * finding; the caller decides whether errors reject the rewrite
+ * (runPasses throws).
  */
 struct AbsintReport;
 std::vector<Diagnostic> validateRewrite(const std::string &passName,

@@ -33,6 +33,20 @@ isDramOp(OpKind kind)
 }
 
 bool
+isEffectOp(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::sramWrite:
+      case OpKind::dramWrite:
+      case OpKind::rmwAdd:
+      case OpKind::rmwSub:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
 evalPureOp(const BlockOp &op, Word a, Word b, Word c, Word &out)
 {
     const auto sa = static_cast<int32_t>(a);
@@ -472,14 +486,33 @@ Dfg::verify() const
         }
     }
     for (const auto &n : nodes) {
-        auto need = [&](bool ok, const std::string &msg) {
-            if (!ok) {
-                throw std::logic_error("node '" + n.name + "' (" +
-                                       toString(n.kind) + "): " + msg);
-            }
+        auto fail = [&](const std::string &msg) {
+            throw std::logic_error("node '" + n.name + "' (" +
+                                   toString(n.kind) + "): " + msg);
+        };
+        auto need = [&](bool ok, const char *msg) {
+            if (!ok)
+                fail(msg);
         };
         auto regOk = [&](int reg, bool allowNone) {
             return reg < n.nRegs && (allowNone ? reg >= -1 : reg >= 0);
+        };
+        // Filter and merge lanes carry one element type end to end
+        // (the sub-word packing invariant).
+        auto laneKeepsElem = [&](size_t lane, int in) {
+            if (links[in].elem != links[n.outs[lane]].elem) {
+                fail("lane " + std::to_string(lane) +
+                     " changes element type across the bundle");
+            }
+        };
+        // Park machinery buffers values *around* a replicate region and
+        // never sits inside one.
+        auto outsideRegion = [&]() {
+            if (n.replicateRegion >= 0) {
+                fail("serves region " + std::to_string(n.parkRegion) +
+                     " but sits inside region " +
+                     std::to_string(n.replicateRegion));
+            }
         };
         switch (n.kind) {
           case NodeKind::counter:
@@ -498,12 +531,20 @@ Dfg::verify() const
           case NodeKind::filter:
             need(n.ins.size() == n.outs.size() + 1,
                  "filter needs pred + bundle");
+            for (size_t j = 0; j < n.outs.size(); ++j)
+                laneKeepsElem(j, n.ins[j + 1]);
             break;
           case NodeKind::fwdMerge:
-          case NodeKind::fbMerge:
+          case NodeKind::fbMerge: {
             need(n.ins.size() == 2 * n.outs.size() && !n.outs.empty(),
                  "merge needs two equal bundles");
+            const size_t half = n.outs.size();
+            for (size_t j = 0; j < half; ++j) {
+                laneKeepsElem(j, n.ins[j]);
+                laneKeepsElem(j, n.ins[j + half]);
+            }
             break;
+          }
           case NodeKind::fanout:
             need(n.ins.size() == 1 && n.outs.size() >= 1,
                  "fanout needs 1 in");
@@ -527,6 +568,7 @@ Dfg::verify() const
                  "park must feed the matching restore");
             need(nodes[out.dst].keyed == n.keyed,
                  "park/restore ordinal-key mismatch");
+            outsideRegion();
             break;
           }
           case NodeKind::restore: {
@@ -546,6 +588,7 @@ Dfg::verify() const
                  "restore must be fed by the matching park");
             need(nodes[in.src].keyed == n.keyed,
                  "park/restore ordinal-key mismatch");
+            outsideRegion();
             break;
           }
           case NodeKind::ordinal:
@@ -554,6 +597,7 @@ Dfg::verify() const
             need(n.parkRegion >= 0 &&
                      n.parkRegion < static_cast<int>(replicates.size()),
                  "ordinal region id out of range");
+            outsideRegion();
             break;
           case NodeKind::block:
             need(n.ins.size() == n.inputRegs.size(),
@@ -572,6 +616,31 @@ Dfg::verify() const
                      "op register out of range");
             }
             break;
+        }
+    }
+    // Region membership agrees in both directions: each region lists
+    // exactly the nodes whose replicateRegion names it.
+    std::vector<int> listedIn(nodes.size(), -1);
+    for (const auto &info : replicates) {
+        const std::string region = "region " + std::to_string(info.id);
+        for (int id : info.nodeIds) {
+            if (id < 0 || id >= n_nodes)
+                throw std::logic_error(region + ": member out of range");
+            if (nodes[id].replicateRegion != info.id) {
+                throw std::logic_error(region + " lists node '" +
+                                       nodes[id].name +
+                                       "' as a member but the node "
+                                       "disagrees");
+            }
+            listedIn[id] = info.id;
+        }
+    }
+    for (const auto &n : nodes) {
+        if (n.replicateRegion >= 0 &&
+            listedIn[n.id] != n.replicateRegion) {
+            throw std::logic_error("node '" + n.name + "' claims region " +
+                                   std::to_string(n.replicateRegion) +
+                                   " but the region does not list it");
         }
     }
 }

@@ -53,6 +53,10 @@ bool isSramOp(OpKind kind);
 /** True if the op touches DRAM (maps to an AG). */
 bool isDramOp(OpKind kind);
 
+/** True if the op is a memory write (SRAM/DRAM store or read-modify-
+ * write): an effect that optimizer passes must preserve and order. */
+bool isEffectOp(OpKind kind);
+
 /** One element-wise operation over block registers. */
 struct BlockOp
 {
@@ -250,11 +254,28 @@ struct Dfg
      * candidates are lanes, not crossing links). */
     std::vector<ReplicateRide> replicateRideLanes(int region) const;
 
-    /** Consistency check: ids equal container indices, every link has
-     * exactly one producer and one consumer that list it back, node
-     * arities match their kind conventions, and every block register
-     * (inputRegs/outputRegs and op operands) is in range. Throws
-     * std::logic_error on violation. Run between optimizer passes. */
+    /**
+     * The one structural checker. Enforces:
+     *  - node and link ids equal their container indices;
+     *  - every link has exactly one producer and one consumer, and
+     *    each lists it back exactly once;
+     *  - node arities match their kind conventions;
+     *  - every block register (inputRegs/outputRegs, op operands and
+     *    guards) is in range;
+     *  - each park feeds the restore of its region and each restore
+     *    is fed by the park of its region, both agreeing on `keyed`
+     *    (a keyed restore takes the key stream as a second input);
+     *    park/restore/ordinal region ids are in range;
+     *  - park, restore and ordinal nodes never sit inside a replicate
+     *    region (they buffer values around it);
+     *  - every filter and merge lane keeps its element type across the
+     *    bundle (the sub-word packing invariant);
+     *  - ReplicateInfo::nodeIds and Node::replicateRegion agree in both
+     *    directions.
+     * Runs in O(nodes + links + region members). Throws
+     * std::logic_error naming the offending node or link. Run after
+     * lowering and after every applied optimizer pass.
+     */
     void verify() const;
 };
 

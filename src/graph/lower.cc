@@ -950,24 +950,9 @@ class Lowering
     static bool
     bodyReordersThreads(const Stmt &s)
     {
-        switch (s.kind) {
-          case StmtKind::whileStmt:
-          case StmtKind::ifStmt:
-          case StmtKind::exitStmt:
-          case StmtKind::returnStmt:
-            return true;
-          default:
-            break;
-        }
-        for (const auto &child : s.body) {
-            if (bodyReordersThreads(*child))
-                return true;
-        }
-        for (const auto &child : s.other) {
-            if (bodyReordersThreads(*child))
-                return true;
-        }
-        return false;
+        return passes::containsKind(
+            s, {StmtKind::whileStmt, StmtKind::ifStmt, StmtKind::exitStmt,
+                StmtKind::returnStmt});
     }
 
     /** True if @p s multiplies the thread count: a fork declaration

@@ -38,20 +38,6 @@ namespace
 constexpr int kMaxIterations = 8;
 
 bool
-isEffectOp(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::sramWrite:
-      case OpKind::dramWrite:
-      case OpKind::rmwAdd:
-      case OpKind::rmwSub:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 blockHasEffects(const Node &node)
 {
     for (const auto &op : node.ops) {
@@ -578,18 +564,8 @@ class CrossBlockConstProp : public FactsPass
     touchesMemory(const Node &n)
     {
         for (const auto &op : n.ops) {
-            switch (op.kind) {
-              case OpKind::sramAlloc:
-              case OpKind::sramRead:
-              case OpKind::sramWrite:
-              case OpKind::rmwAdd:
-              case OpKind::rmwSub:
-              case OpKind::dramRead:
-              case OpKind::dramWrite:
+            if (isSramOp(op.kind) || isDramOp(op.kind))
                 return true;
-              default:
-                break;
-            }
         }
         return false;
     }

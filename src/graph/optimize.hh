@@ -84,10 +84,12 @@ struct GraphPassOptions
     bool replicateBufferize = true;
     bool subwordPack = true;
     /** WaveCert-style translation validation (graph/analyze.hh): after
-     * every applied pass, account token production/consumption against
-     * the pre-pass snapshot and reject the rewrite with a
-     * ValidationError if conservation, park pairing, bundle widths, or
-     * rate balance broke. */
+     * every applied pass, compare the ordered sources, the memory-effect
+     * multiset and the per-region park census against the pre-pass
+     * snapshot under the pass's permissions, and re-solve rate balance;
+     * reject the rewrite with a ValidationError if any broke.
+     * Structural invariants (park pairing, lane element types, region
+     * membership) are Dfg::verify()'s and are checked either way. */
     bool validate = true;
     /** Table II limits consulted by block-fusion's cost hooks and by
      * replicate-bufferize's per-region SRAM park budget (muBanks). */
@@ -151,8 +153,10 @@ makeDefaultPasses(const GraphPassOptions &opts);
 
 /**
  * Run @p passes over @p dfg to fixpoint (at most 8 sweeps).
- * Dfg::verify() runs after every applied pass, then translation
- * validation when opts.validate is set.
+ * Dfg::verify() runs after every applied pass (a structural break
+ * throws std::logic_error), then translation validation when
+ * opts.validate is set (a conservation or rate break throws
+ * ValidationError).
  */
 GraphOptReport
 runPasses(Dfg &dfg,

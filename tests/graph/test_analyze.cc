@@ -9,9 +9,11 @@
  *
  * Translation validation: the default pipeline certifies every pass
  * application on real programs, while deliberately broken rewrites —
- * a dropped memory effect, reordered program-entry sources, a
- * mispaired park, a widened bundle lane, an unsolicited park — are
- * each rejected by runPasses() with the expected diagnostic. The value
+ * a dropped memory effect, reordered program-entry sources, an
+ * unsolicited park, a keyed region stripped of its ordinal — are each
+ * rejected by runPasses() with the expected diagnostic. Structural
+ * breaks — a mispaired park, a widened bundle lane — never reach the
+ * validator: Dfg::verify() rejects them first, naming the node. The value
  * facts runPasses() shares between passes, validator and analyzeGraph
  * are never stale: a rewritten counter bound is judged on fresh facts,
  * and the facts handed out with the report match a fresh fixpoint.
@@ -307,6 +309,24 @@ void main(int n) {
 }
 )";
 
+/** A thread-reordering replicate body (data-dependent while): its
+ * pass-over values become ordinal-keyed parks. */
+const char *reorderSrc = R"(
+DRAM<int> data; DRAM<int> out;
+void main(int n) {
+  foreach (n) { int t =>
+    int a = data[t];
+    int k1 = t * 3 + 1;
+    int w = a & 7;
+    int h = a;
+    replicate (4) {
+      while (w != 0) { h = h * 31 + w; w = w - 1; };
+    };
+    out[t] = h + k1;
+  };
+}
+)";
+
 /** Deliberately broken rewrites for the mutation tests. */
 template <typename Fn> class BrokenPass : public GraphPass
 {
@@ -344,6 +364,22 @@ runBrokenExpectThrow(Dfg g,
     try {
         runPasses(g, p, GraphPassOptions{});
     } catch (const ValidationError &e) {
+        return e.what();
+    }
+    return {};
+}
+
+/** what() of the Dfg::verify() rejection of a broken pipeline; empty
+ * if it ran clean or the validator (not verify()) rejected it. */
+std::string
+runBrokenExpectVerifyError(
+    Dfg g, const std::vector<std::unique_ptr<GraphPass>> &p)
+{
+    try {
+        runPasses(g, p, GraphPassOptions{});
+    } catch (const ValidationError &) {
+        return {};
+    } catch (const std::logic_error &e) {
         return e.what();
     }
     return {};
@@ -557,29 +593,32 @@ TEST(AnalyzeValidate, ReorderedSourcesRejected)
 
 TEST(AnalyzeValidate, MispairedParkRejected)
 {
+    // Pairing is structural: Dfg::verify() rejects the flipped park
+    // inside runPasses() before the validator runs.
     auto prog = CompiledArtifact::build(replSrc);
-    Dfg g = prog->dfg();
-    const TokenAccount before = accountTokens(g);
-    ASSERT_GT(before.parks.size(), 0u);
-    bool flipped = false;
-    for (auto &n : g.nodes) {
+    std::string parkName;
+    for (const auto &n : prog->dfg().nodes) {
         if (n.kind == NodeKind::park) {
-            n.keyed = !n.keyed;
-            flipped = true;
+            parkName = n.name;
             break;
         }
     }
-    ASSERT_TRUE(flipped);
-    // verify() would reject this first inside runPasses(); validate the
-    // rewrite directly so the validator's own pairing check is what
-    // catches the mutation.
-    const auto diags = validateRewrite("broken-flip-keyed", before, g,
-                                       analyzeValues(g));
-    ASSERT_TRUE(hasErrors(diags)) << "broken rewrite was not rejected";
-    const std::string what =
-        ValidationError("broken-flip-keyed", diags).what();
-    EXPECT_NE(what.find("park-mispaired"), std::string::npos) << what;
-    EXPECT_NE(what.find("park"), std::string::npos) << what;
+    ASSERT_FALSE(parkName.empty());
+    auto pipeline =
+        brokenPipeline("broken-flip-keyed", [](Dfg &g) {
+            for (auto &n : g.nodes) {
+                if (n.kind == NodeKind::park) {
+                    n.keyed = !n.keyed;
+                    return 1;
+                }
+            }
+            return 0;
+        });
+    std::string what = runBrokenExpectVerifyError(prog->dfg(), pipeline);
+    ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
+    EXPECT_NE(what.find("ordinal-key mismatch"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("'" + parkName + "'"), std::string::npos) << what;
 }
 
 TEST(AnalyzeValidate, WidenedBundleLaneRejected)
@@ -596,10 +635,13 @@ TEST(AnalyzeValidate, WidenedBundleLaneRejected)
             }
             return 0;
         });
-    std::string what = runBrokenExpectThrow(g, pipeline);
+    // Lane element types are structural: Dfg::verify() rejects the
+    // widened lane inside runPasses() before the validator runs.
+    std::string what = runBrokenExpectVerifyError(g, pipeline);
     ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
-    EXPECT_NE(what.find("bundle-elem"), std::string::npos) << what;
-    EXPECT_NE(what.find("#" + std::to_string(join)), std::string::npos)
+    EXPECT_NE(what.find("changes element type"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("'" + g.nodes[join].name + "'"), std::string::npos)
         << what;
 }
 
@@ -640,6 +682,54 @@ TEST(AnalyzeValidate, UnsolicitedParkRejected)
     std::string what = runBrokenExpectThrow(g, pipeline);
     ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
     EXPECT_NE(what.find("park-added"), std::string::npos) << what;
+}
+
+TEST(AnalyzeValidate, OrdinalMissingRejected)
+{
+    // dead-node-elim may drop park machinery, so the census alone
+    // allows losing an ordinal; only the keyed-parks-need-an-ordinal
+    // rule catches a region left with keyed parks and no ordinal.
+    auto prog = CompiledArtifact::build(reorderSrc);
+    int region = -1;
+    for (const auto &n : prog->dfg().nodes)
+        if (n.kind == NodeKind::park && n.keyed)
+            region = n.parkRegion;
+    ASSERT_GE(region, 0) << "fixture must have ordinal-keyed parks";
+    std::vector<int> parks;
+    for (const auto &n : prog->dfg().nodes)
+        if (n.kind == NodeKind::park && n.parkRegion == region)
+            parks.push_back(n.id);
+    ASSERT_GT(accountTokens(prog->dfg()).parks.at(region).ordinals, 0);
+    auto pipeline =
+        brokenPipeline("dead-node-elim", [region](Dfg &g) {
+            // Splice each ordinal out: an identity fanout forwards the
+            // stream unnumbered.
+            int spliced = 0;
+            for (auto &n : g.nodes) {
+                if (n.kind == NodeKind::ordinal && n.parkRegion == region) {
+                    n.kind = NodeKind::fanout;
+                    ++spliced;
+                }
+            }
+            return spliced;
+        });
+    Dfg g = prog->dfg();
+    try {
+        runPasses(g, pipeline, GraphPassOptions{});
+        FAIL() << "keyed region without an ordinal was not rejected";
+    } catch (const ValidationError &e) {
+        EXPECT_EQ(e.passName(), "dead-node-elim");
+        bool found = false;
+        for (const auto &d : e.diagnostics()) {
+            if (d.code == "ordinal-missing") {
+                found = true;
+                EXPECT_EQ(d.nodes, parks) << d.message;
+            } else {
+                ADD_FAILURE() << "unexpected diagnostic: " << d.message;
+            }
+        }
+        EXPECT_TRUE(found) << e.what();
+    }
 }
 
 TEST(AnalyzeValidate, RewrittenCounterBoundSeesFreshFacts)

@@ -2,8 +2,10 @@
  * @file
  * Dfg structural-invariant tests: verify() must accept every lowered
  * and optimized graph, and reject corrupted ones (bad arities, stale
- * endpoints, out-of-range registers); toDot() output is pinned by a
- * golden test so graph dumps cannot silently regress.
+ * endpoints, out-of-range registers, mispaired parks, park machinery
+ * inside a replicate region, region membership disagreeing either
+ * way, filter/merge lanes changing element type); toDot() output is
+ * pinned by a golden test so graph dumps cannot silently regress.
  */
 
 #include <gtest/gtest.h>
@@ -336,6 +338,141 @@ TEST(DfgVerify, RejectsOrdinalArityAndRegion)
             n.parkRegion = 3; // no such region
     }
     EXPECT_THROW(g.verify(), std::logic_error);
+}
+
+// ---------------------------------------------------------------------
+// Replicate-region membership and boundary, bundle lane element types.
+
+namespace
+{
+
+/** what() of g.verify()'s rejection; empty if it accepts @p g. */
+std::string
+verifyError(const Dfg &g)
+{
+    try {
+        g.verify();
+    } catch (const std::logic_error &e) {
+        return e.what();
+    }
+    return {};
+}
+
+/** source pred + source value -> filter -> sink, both lanes @p elem. */
+Dfg
+filterGraph(lang::Scalar elem)
+{
+    Dfg g;
+    auto &sp = g.newNode(NodeKind::source, "__start");
+    int pred = g.newLink("pred");
+    g.connectOut(sp.id, pred);
+    auto &sv = g.newNode(NodeKind::source, "arg0");
+    int v = g.newLink("v", elem);
+    g.connectOut(sv.id, v);
+    auto &flt = g.newNode(NodeKind::filter, "keep");
+    g.connectIn(flt.id, pred);
+    g.connectIn(flt.id, v);
+    int o = g.newLink("o", elem);
+    g.connectOut(flt.id, o);
+    auto &sk = g.newNode(NodeKind::sink, "sink.o");
+    g.connectIn(sk.id, o);
+    return g;
+}
+
+/** Two sources merged into one @p elem lane feeding a sink. */
+Dfg
+mergeGraph(lang::Scalar elem)
+{
+    Dfg g;
+    auto &sa = g.newNode(NodeKind::source, "__start");
+    int a = g.newLink("a", elem);
+    g.connectOut(sa.id, a);
+    auto &sb = g.newNode(NodeKind::source, "arg0");
+    int b = g.newLink("b", elem);
+    g.connectOut(sb.id, b);
+    auto &m = g.newNode(NodeKind::fwdMerge, "join");
+    g.connectIn(m.id, a);
+    g.connectIn(m.id, b);
+    int o = g.newLink("o", elem);
+    g.connectOut(m.id, o);
+    auto &sk = g.newNode(NodeKind::sink, "sink.o");
+    g.connectIn(sk.id, o);
+    return g;
+}
+
+int
+nodeOfKind(const Dfg &g, NodeKind kind)
+{
+    for (const auto &n : g.nodes)
+        if (n.kind == kind)
+            return n.id;
+    return -1;
+}
+
+} // namespace
+
+TEST(DfgVerify, AcceptsRegionMembersAndNarrowLanes)
+{
+    Dfg g = parkedGraph();
+    g.nodes[1].replicateRegion = 0;
+    g.replicates[0].nodeIds.push_back(1);
+    EXPECT_EQ(verifyError(g), "");
+    EXPECT_EQ(verifyError(filterGraph(lang::Scalar::i8)), "");
+    EXPECT_EQ(verifyError(mergeGraph(lang::Scalar::i16)), "");
+}
+
+TEST(DfgVerify, RejectsParkInsideRegion)
+{
+    // Membership agrees both ways, so only the boundary rule fires.
+    Dfg g = parkedGraph();
+    const int park = nodeOfKind(g, NodeKind::park);
+    g.nodes[park].replicateRegion = 0;
+    g.replicates[0].nodeIds.push_back(park);
+    const std::string what = verifyError(g);
+    EXPECT_NE(what.find("'park.b'"), std::string::npos) << what;
+    EXPECT_NE(what.find("sits inside region 0"), std::string::npos)
+        << what;
+}
+
+TEST(DfgVerify, RejectsListedNonMember)
+{
+    Dfg g = parkedGraph();
+    g.replicates[0].nodeIds.push_back(1); // b0 names no region
+    const std::string what = verifyError(g);
+    EXPECT_NE(what.find("region 0 lists node 'b0'"), std::string::npos)
+        << what;
+}
+
+TEST(DfgVerify, RejectsUnlistedMember)
+{
+    Dfg g = parkedGraph();
+    g.nodes[1].replicateRegion = 0; // region 0 does not list b0
+    const std::string what = verifyError(g);
+    EXPECT_NE(what.find("'b0' claims region 0"), std::string::npos)
+        << what;
+}
+
+TEST(DfgVerify, RejectsFilterLaneElemChange)
+{
+    Dfg g = filterGraph(lang::Scalar::i8);
+    const int keep = nodeOfKind(g, NodeKind::filter);
+    g.links[g.nodes[keep].outs[0]].elem = lang::Scalar::i32;
+    const std::string what = verifyError(g);
+    EXPECT_NE(what.find("'keep'"), std::string::npos) << what;
+    EXPECT_NE(what.find("lane 0 changes element type"), std::string::npos)
+        << what;
+}
+
+TEST(DfgVerify, RejectsMergeLaneElemChange)
+{
+    // Only the B-side input differs from the lane's output.
+    Dfg g = mergeGraph(lang::Scalar::i8);
+    const int join = nodeOfKind(g, NodeKind::fwdMerge);
+    g.links[g.nodes[join].ins[1]].elem = lang::Scalar::i16;
+    const std::string what = verifyError(g);
+    EXPECT_NE(what.find("'join'"), std::string::npos) << what;
+    EXPECT_NE(what.find("lane 0 changes element type"), std::string::npos)
+        << what;
 }
 
 TEST(DfgDot, KeyedParkAndOrdinalRender)
